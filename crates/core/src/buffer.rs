@@ -421,53 +421,57 @@ impl ServerBuffer {
 
     /// [`transmit`](Self::transmit) into a caller-owned scratch buffer:
     /// appends the `(seq, slice, bytes_now, completed)` tuples to `out`
-    /// without allocating (once `out`'s capacity has warmed up). Returns
-    /// immediately — touching neither `out` nor the buffer — when the
-    /// buffer is empty or `rate` is 0.
+    /// without allocating (once `out`'s capacity has warmed up). Leaves
+    /// `out` and the buffer untouched when the buffer is empty or
+    /// `rate` is 0.
     pub fn transmit_into(&mut self, rate: Bytes, out: &mut Vec<(Seq, Slice, Bytes, bool)>) {
-        if rate == 0 || self.is_empty() {
-            return;
-        }
         let mut budget = rate;
-        match &mut self.store {
+        while let Some(chunk) = self.transmit_chunk(budget) {
+            budget -= chunk.2;
+            out.push(chunk);
+        }
+    }
+
+    /// One transmission step: cuts at most `budget` bytes off the FIFO
+    /// head and returns them as `(seq, slice, bytes_now, completed)`; a
+    /// completed slice leaves the buffer. Returns `None`, touching
+    /// nothing, when the buffer is empty or `budget` is 0. Calling it
+    /// until `None` with the budget reduced by each chunk is exactly
+    /// [`transmit_into`](Self::transmit_into), without the scratch.
+    #[inline]
+    pub fn transmit_chunk(&mut self, budget: Bytes) -> Option<(Seq, Slice, Bytes, bool)> {
+        if budget == 0 {
+            return None;
+        }
+        let chunk = match &mut self.store {
             Store::Ring(r) => {
-                while budget > 0 {
-                    // Invariant: the front entry, if any, is alive.
-                    let Some(front) = r.entries.front_mut() else {
-                        break;
-                    };
-                    let entry = &mut front.buf;
-                    let take = entry.remaining().min(budget);
-                    entry.sent += take;
-                    budget -= take;
-                    self.occupancy -= take;
-                    let completed = entry.remaining() == 0;
-                    let (seq, slice) = (entry.seq, entry.slice);
-                    if completed {
-                        r.entries.pop_front();
-                        r.trim_front();
-                    }
-                    out.push((seq, slice, take, completed));
+                // Invariant: the front entry, if any, is alive.
+                let entry = &mut r.entries.front_mut()?.buf;
+                let take = entry.remaining().min(budget);
+                entry.sent += take;
+                let completed = entry.remaining() == 0;
+                let chunk = (entry.seq, entry.slice, take, completed);
+                if completed {
+                    r.entries.pop_front();
+                    r.trim_front();
                 }
+                chunk
             }
             Store::Map(m) => {
-                while budget > 0 {
-                    let Some((&seq, entry)) = m.iter_mut().next() else {
-                        break;
-                    };
-                    let take = entry.remaining().min(budget);
-                    entry.sent += take;
-                    budget -= take;
-                    self.occupancy -= take;
-                    let completed = entry.remaining() == 0;
-                    let slice = entry.slice;
-                    if completed {
-                        m.remove(&seq);
-                    }
-                    out.push((seq, slice, take, completed));
+                let mut head = m.first_entry()?;
+                let entry = head.get_mut();
+                let take = entry.remaining().min(budget);
+                entry.sent += take;
+                let completed = entry.remaining() == 0;
+                let chunk = (entry.seq, entry.slice, take, completed);
+                if completed {
+                    head.remove();
                 }
+                chunk
             }
-        }
+        };
+        self.occupancy -= chunk.2;
+        Some(chunk)
     }
 
     /// Number of tombstoned (dead) entries currently in the ring; always

@@ -92,10 +92,6 @@ pub struct Server<P> {
     policy: P,
     capacity: Bytes,
     rate: Bytes,
-    /// Reusable transmit scratch: filled by
-    /// [`ServerBuffer::transmit_into`] each step, so the steady-state
-    /// step makes no allocation of its own.
-    tx_scratch: Vec<(Seq, Slice, Bytes, bool)>,
 }
 
 impl<P: DropPolicy> Server<P> {
@@ -122,7 +118,6 @@ impl<P: DropPolicy> Server<P> {
             policy,
             capacity,
             rate,
-            tx_scratch: Vec::new(),
         }
     }
 
@@ -359,11 +354,11 @@ impl<P: DropPolicy> Server<P> {
             out.dropped.push(slice);
         }
 
-        // 3. Transmission at the maximal granted rate, FIFO order, via
-        // the persistent scratch (no allocation in steady state).
-        self.tx_scratch.clear();
-        self.buffer.transmit_into(budget, &mut self.tx_scratch);
-        for &(seq, slice, bytes, completed) in &self.tx_scratch {
+        // 3. Transmission at the maximal granted rate, FIFO order: each
+        // chunk cut off the head goes straight into `out.sent`.
+        let mut left = budget;
+        while let Some((seq, slice, bytes, completed)) = self.buffer.transmit_chunk(left) {
+            left -= bytes;
             if completed {
                 self.policy.on_remove(seq);
             }

@@ -204,11 +204,16 @@ impl ArrivalSource {
         }
     }
 
-    fn stop(&mut self) {
+    /// Closes the source at session slot `now`: a CBR source emits no
+    /// further slot, and a queue cancels the arrivals scheduled after
+    /// `now` but keeps those already due, so slices fed before the
+    /// drain still reach the server at the next slot.
+    fn stop(&mut self, now: Time) {
         match self {
             ArrivalSource::Cbr { lifetime, emitted, .. } => *lifetime = Some(*emitted),
             ArrivalSource::Queue { pending, closed } => {
-                pending.clear();
+                let due = pending.partition_point(|q| q.at <= now);
+                pending.truncate(due);
                 *closed = true;
             }
         }
@@ -233,12 +238,17 @@ struct OpenSlice {
 ///
 /// See the module docs for why `D + 1` buckets suffice. Partial
 /// deliveries accumulate in a single open-slice slot (FIFO transmission
-/// guarantees at most one).
+/// guarantees at most one). `head` is the bucket of the current client
+/// slot `t`, i.e. `t mod (D + 1)`; [`play`](Self::play) advances it, so
+/// the per-slice bucket lookups are an add and a compare. It is not
+/// part of the snapshot encoding: a restore re-derives it from the
+/// session's local clock.
 #[derive(Debug)]
 pub struct PlayoutRing {
     capacity: Bytes,
     deadline_offset: Time,
     ring: Vec<RingBucket>,
+    head: usize,
     occupancy: Bytes,
     open: Option<OpenSlice>,
 }
@@ -251,6 +261,7 @@ impl PlayoutRing {
             capacity: capacity.max(1),
             deadline_offset: delay + link_delay,
             ring: vec![RingBucket::default(); delay as usize + 1],
+            head: 0,
             occupancy: 0,
             open: None,
         }
@@ -295,6 +306,7 @@ impl PlayoutRing {
 
     /// Decides the fate of a fully received slice.
     fn resolve(&mut self, t: Time, slice: &Slice, counters: &mut SessionCounters) {
+        debug_assert_eq!(self.head as Time, t % self.ring.len() as Time);
         let deadline = slice.arrival + self.deadline_offset;
         if deadline < t {
             // Held too long at the server; missed its playout slot.
@@ -305,14 +317,18 @@ impl PlayoutRing {
         // Overflow is judged like the core client's: only bytes stored
         // *past* this slot count, so the bucket playing at `t` (and a
         // slice with deadline exactly `t`) never displace anything.
-        let due = self.ring[(t % self.ring.len() as Time) as usize].bytes;
+        let due = self.ring[self.head].bytes;
         if deadline > t && self.occupancy - due + slice.size > self.capacity {
             counters.client_dropped_slices += 1;
             counters.client_dropped_bytes += slice.size;
             return;
         }
         debug_assert!(deadline - t <= (self.ring.len() - 1) as Time);
-        let idx = (deadline % self.ring.len() as Time) as usize;
+        // head + (deadline - t) < 2·(D + 1): one conditional wrap.
+        let mut idx = self.head + (deadline - t) as usize;
+        if idx >= self.ring.len() {
+            idx -= self.ring.len();
+        }
         let bucket = &mut self.ring[idx];
         bucket.bytes += slice.size;
         bucket.weight += slice.weight;
@@ -320,10 +336,15 @@ impl PlayoutRing {
         self.occupancy += slice.size;
     }
 
-    /// Plays the bucket whose deadline is `t`. Returns slices played.
+    /// Plays the bucket whose deadline is `t` and advances the head to
+    /// `t + 1`. Returns slices played.
     fn play(&mut self, t: Time, counters: &mut SessionCounters) -> u64 {
-        let idx = (t % self.ring.len() as Time) as usize;
-        let bucket = std::mem::take(&mut self.ring[idx]);
+        debug_assert_eq!(self.head as Time, t % self.ring.len() as Time);
+        let bucket = std::mem::take(&mut self.ring[self.head]);
+        self.head += 1;
+        if self.head == self.ring.len() {
+            self.head = 0;
+        }
         self.occupancy -= bucket.bytes;
         counters.played_slices += bucket.slices;
         counters.played_bytes += bucket.bytes;
@@ -527,10 +548,12 @@ impl LiveSession {
     }
 
     /// Stops arrivals; the session retires as `Drained` once the
-    /// pipeline empties.
+    /// pipeline empties. Slices already fed (due at or before the
+    /// current local slot) are still offered; only arrivals scheduled
+    /// for later slots are cancelled.
     pub fn drain(&mut self) {
         self.draining = true;
-        self.source.stop();
+        self.source.stop(self.local_t);
     }
 
     /// True once a drain has been requested. Migration skips draining
@@ -902,6 +925,7 @@ impl LiveSession {
         }
         ring.occupancy = occupancy as Bytes;
         ring.open = open;
+        ring.head = (local_t % ring.ring.len() as Time) as usize;
         r.finish()?;
         // The paper's mid-run identity, proven before the session may
         // rejoin a shard: every offered byte is resolved or in flight.
@@ -1071,34 +1095,56 @@ mod tests {
 
     #[test]
     fn snapshot_roundtrip_is_canonical_and_trajectory_exact() {
-        // A mid-flight session with a partially transmitted head (a
-        // 1-byte grant against size-2 slices splits transmissions),
-        // bytes on the link, and buffered playout.
-        let mut s = session(3, 4, 2, ArrivalSource::cbr(3, 2, 5, Some(12)));
-        let mut twin = session(3, 4, 2, ArrivalSource::cbr(3, 2, 5, Some(12)));
+        // Cut at every slot from 0 through 2·(D + 1), so a restore
+        // re-derives the playout head at every ring position. From the
+        // first slot on the session is mid-flight: a partially
+        // transmitted head (a 1-byte grant against size-2 slices splits
+        // transmissions), bytes on the link, and buffered playout.
+        const D: Time = 4;
         let mut sstep = ServerStep::default();
         let mut delivered = Vec::new();
         let mut scratch = Vec::new();
-        for _ in 0..7 {
-            s.begin_slot(&mut scratch);
-            s.step(1, &mut sstep, &mut delivered);
-            twin.begin_slot(&mut scratch);
-            twin.step(1, &mut sstep, &mut delivered);
+        for cut in 0..=2 * (D + 1) {
+            let mut twin = session(3, D, 2, ArrivalSource::cbr(3, 2, 5, Some(12)));
+            for _ in 0..cut {
+                twin.begin_slot(&mut scratch);
+                twin.step(1, &mut sstep, &mut delivered);
+            }
+            assert!(
+                cut == 0 || twin.in_flight_bytes() > 0,
+                "cut {cut}: mid-flight state required"
+            );
+            let mut bytes = Vec::new();
+            twin.encode_state(&mut bytes);
+            let mut restored = LiveSession::decode_state(&bytes).expect("own encoding decodes");
+            let mut again = Vec::new();
+            restored.encode_state(&mut again);
+            assert_eq!(bytes, again, "cut {cut}: decode ∘ encode must be canonical");
+            // The restored session must step in lockstep with the
+            // uninterrupted twin, state for state, to the same end.
+            for _ in 0..64 {
+                assert_eq!(restored.retire_cause(), twin.retire_cause(), "cut {cut}");
+                if twin.retire_cause().is_some() {
+                    break;
+                }
+                for s in [&mut restored, &mut twin] {
+                    s.begin_slot(&mut scratch);
+                    s.step(s.demand(), &mut sstep, &mut delivered);
+                }
+                bytes.clear();
+                again.clear();
+                twin.encode_state(&mut bytes);
+                restored.encode_state(&mut again);
+                assert_eq!(
+                    bytes, again,
+                    "cut {cut}: trajectories diverge at t={}",
+                    twin.local_t
+                );
+            }
+            assert!(twin.retire_cause().is_some(), "cut {cut}: no retirement");
+            assert_eq!(restored.counters(), twin.counters());
+            assert!(restored.counters().conserved());
         }
-        assert!(s.in_flight_bytes() > 0, "mid-flight state required");
-        let mut bytes = Vec::new();
-        s.encode_state(&mut bytes);
-        let mut restored = LiveSession::decode_state(&bytes).expect("own encoding decodes");
-        let mut again = Vec::new();
-        restored.encode_state(&mut again);
-        assert_eq!(bytes, again, "decode ∘ encode must be canonical");
-        // The restored session must finish exactly as the uninterrupted
-        // twin does.
-        let a = run_to_retirement(&mut restored, 64);
-        let b = run_to_retirement(&mut twin, 64);
-        assert_eq!(a, b);
-        assert_eq!(restored.counters(), twin.counters());
-        assert!(restored.counters().conserved());
     }
 
     #[test]
@@ -1130,6 +1176,61 @@ mod tests {
             LiveSession::decode_state(&mangled),
             Err(crate::snapshot::SnapshotError::Malformed("byte conservation"))
         ));
+    }
+
+    #[test]
+    fn drain_keeps_slices_pushed_in_the_same_pass() {
+        // A push and a drain between the same two slots (one shard
+        // command pass): every pushed byte must still be offered, and
+        // the retired ledger must account for all of it.
+        let mut s = session(2, 2, 1, ArrivalSource::external());
+        let mut sstep = ServerStep::default();
+        let mut delivered = Vec::new();
+        let mut scratch = Vec::new();
+        for _ in 0..3 {
+            s.begin_slot(&mut scratch);
+            s.step(s.demand(), &mut sstep, &mut delivered);
+        }
+        assert!(s.push_slices(&[(1, 1), (3, 2), (2, 1)]));
+        s.drain();
+        assert_eq!(run_to_retirement(&mut s, 32), RetireCause::Drained);
+        let c = s.counters();
+        assert_eq!(
+            (c.offered_slices, c.offered_bytes),
+            (3, 6),
+            "pushed bytes vanished"
+        );
+        assert!(c.conserved());
+    }
+
+    #[test]
+    fn drain_cancels_only_future_scheduled_arrivals() {
+        // A replay source drained at local slot 3 offers the slices due
+        // by then (two before it, two at it) and none scheduled later.
+        let at = [0, 1, 3, 3, 5, 7];
+        let trace = at
+            .iter()
+            .map(|&at| QueuedSlice {
+                at,
+                size: 2,
+                weight: 1,
+            })
+            .collect();
+        let mut s = session(2, 3, 1, ArrivalSource::scheduled(trace));
+        let mut sstep = ServerStep::default();
+        let mut delivered = Vec::new();
+        let mut scratch = Vec::new();
+        for _ in 0..3 {
+            s.begin_slot(&mut scratch);
+            s.step(s.demand(), &mut sstep, &mut delivered);
+        }
+        assert_eq!(s.local_time(), 3);
+        assert_eq!(s.counters().offered_slices, 2);
+        s.drain();
+        assert_eq!(run_to_retirement(&mut s, 32), RetireCause::Drained);
+        let c = s.counters();
+        assert_eq!((c.offered_slices, c.offered_bytes), (4, 8));
+        assert!(c.conserved());
     }
 
     #[test]

@@ -9,9 +9,21 @@
 //! clients are fixed rings ([`crate::PlayoutRing`]). Only churn
 //! (admit / retire) touches the allocator.
 //!
-//! Scheduling across sessions is max-min fair with byte granularity —
-//! the same discipline as the batch mux's `RoundRobin`, reimplemented
-//! over parallel index arrays so the hot loop borrows no session state.
+//! A slot touches each session once. A session's demand is its backlog
+//! capped at its reserved rate, so the demands of a slot sum to at most
+//! the committed rate; while that is within the link rate (always, at
+//! 1:1 overbooking) the link is never contended and the fair split
+//! grants every demand in full. The slot then runs arrivals, demand,
+//! step and the retirement check for each session in one pass.
+//!
+//! Only a shard overbooked past its link (committed > link rate) needs
+//! arbitration. It first collects every session's post-arrival demand,
+//! then splits the link max-min fair with byte granularity — the same
+//! discipline as the batch mux's `RoundRobin`, reimplemented over
+//! parallel index arrays so the grant loop borrows no session state —
+//! and steps each session with its grant through the same per-session
+//! body. On either path the retirement sweep runs only in a slot in
+//! which some session reported itself ready to retire.
 
 use std::collections::HashMap;
 
@@ -105,6 +117,33 @@ fn fair_grants(
         out[active[(start + j) % n]] += 1;
     }
     *cursor = cursor.wrapping_add(remaining as usize);
+}
+
+/// What one slot did across a shard's sessions.
+#[derive(Default)]
+struct SlotTally {
+    sent: Bytes,
+    played: u64,
+    /// Sessions that can retire after this slot.
+    ready: usize,
+}
+
+impl SlotTally {
+    /// The per-session body both slot paths share: transmit, deliver
+    /// and play with `grant`, then the retirement check.
+    #[inline]
+    fn step(
+        &mut self,
+        s: &mut LiveSession,
+        grant: Bytes,
+        sstep: &mut ServerStep,
+        delivered: &mut Vec<SentChunk>,
+    ) {
+        let delta = s.step(grant, sstep, delivered);
+        self.sent += delta.sent;
+        self.played += delta.played_slices;
+        self.ready += s.retire_cause().is_some() as usize;
+    }
 }
 
 /// A set of sessions sharing one link, stepped together.
@@ -393,38 +432,64 @@ impl Shard {
         self.retired_counters.add(counters);
     }
 
-    /// Advances every session by one slot: arrivals, max-min fair
-    /// grants over the shard link, transmit/deliver/play, then the
-    /// retirement sweep. Allocation-free while the session set is
-    /// stable.
+    /// Advances every session by one slot: arrivals, link grants,
+    /// transmit/deliver/play, then the retirement sweep. Allocation-free
+    /// while the session set is stable.
+    ///
+    /// Each session's demand is at most its reserved rate, so while the
+    /// committed total fits the link every demand is granted in full
+    /// and one fused pass does the slot; otherwise the max-min fair
+    /// grant pre-pass splits the link first.
     pub fn process_slot(&mut self) {
-        self.pending.clear();
-        for s in &mut self.sessions {
-            s.begin_slot(&mut self.arrivals);
-            self.pending.push(s.demand());
-        }
-        fair_grants(
-            &self.pending,
-            self.admission.link_rate(),
-            &mut self.cursor,
-            &mut self.active,
-            &mut self.grants,
-        );
-        let mut slot_sent: Bytes = 0;
-        let mut slot_played: u64 = 0;
-        for (i, s) in self.sessions.iter_mut().enumerate() {
-            let delta = s.step(self.grants[i], &mut self.sstep, &mut self.delivered);
-            slot_sent += delta.sent;
-            slot_played += delta.played_slices;
+        self.process_slot_via(self.admission.committed() > self.admission.link_rate());
+    }
+
+    /// [`process_slot`](Self::process_slot) on a chosen path: the fused
+    /// pass (`granted == false`, exact only while committed ≤ link) or
+    /// the grant pre-pass plus `fair_grants`, exact on any shard.
+    fn process_slot_via(&mut self, granted: bool) {
+        let mut tally = SlotTally::default();
+        if granted {
+            self.pending.clear();
+            for s in &mut self.sessions {
+                s.begin_slot(&mut self.arrivals);
+                self.pending.push(s.demand());
+            }
+            fair_grants(
+                &self.pending,
+                self.admission.link_rate(),
+                &mut self.cursor,
+                &mut self.active,
+                &mut self.grants,
+            );
+            for (s, &grant) in self.sessions.iter_mut().zip(&self.grants) {
+                tally.step(s, grant, &mut self.sstep, &mut self.delivered);
+            }
+        } else {
+            for s in &mut self.sessions {
+                s.begin_slot(&mut self.arrivals);
+                let grant = s.demand();
+                tally.step(s, grant, &mut self.sstep, &mut self.delivered);
+            }
         }
         debug_assert!(
-            slot_sent <= self.admission.link_rate(),
-            "shard link oversubscribed: sent {slot_sent} > rate {}",
+            tally.sent <= self.admission.link_rate(),
+            "shard link oversubscribed: sent {} > rate {}",
+            tally.sent,
             self.admission.link_rate()
         );
-        self.stats.sent_bytes += slot_sent;
-        self.stats.max_slot_sent = self.stats.max_slot_sent.max(slot_sent);
-        self.stats.played_slices += slot_played;
+        self.stats.sent_bytes += tally.sent;
+        self.stats.max_slot_sent = self.stats.max_slot_sent.max(tally.sent);
+        self.stats.played_slices += tally.played;
+        if tally.ready > 0 {
+            self.retire_ready();
+        }
+        self.now += 1;
+        self.stats.slots += 1;
+    }
+
+    /// Removes every session that can retire, in storage order.
+    fn retire_ready(&mut self) {
         let mut i = 0;
         while i < self.sessions.len() {
             match self.sessions[i].retire_cause() {
@@ -447,8 +512,6 @@ impl Shard {
                 None => i += 1,
             }
         }
-        self.now += 1;
-        self.stats.slots += 1;
     }
 
     /// Moves accumulated retirements into `out`.
@@ -492,6 +555,7 @@ impl Shard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rts_stream::rng::SplitMix64;
 
     fn cbr_request(rate: Bytes, delay: Time, lifetime: u64) -> AdmitRequest {
         AdmitRequest {
@@ -603,6 +667,117 @@ mod tests {
             totals.server_dropped_bytes + totals.client_dropped_bytes > 0,
             "2x overbooking at full offered load must shed bytes"
         );
+    }
+
+    /// Requires two shards to agree on everything a slot can change:
+    /// retirements (order included), aggregates, ledgers and the
+    /// fair-grants cursor.
+    fn assert_same_shard(a: &mut Shard, b: &mut Shard, ctx: &str) {
+        let (mut ra, mut rb) = (Vec::new(), Vec::new());
+        a.take_retirements(&mut ra);
+        b.take_retirements(&mut rb);
+        assert_eq!(ra.len(), rb.len(), "{ctx}: retirement count");
+        for (x, y) in ra.iter().zip(&rb) {
+            assert_eq!(
+                (x.session, x.shard, x.slot, x.cause, x.rate, x.counters),
+                (y.session, y.shard, y.slot, y.cause, y.rate, y.counters),
+                "{ctx}: retirement"
+            );
+        }
+        let key = |s: &ShardStats| {
+            (
+                s.slots,
+                s.played_slices,
+                s.sent_bytes,
+                s.max_slot_sent,
+                s.peak_sessions,
+            )
+        };
+        assert_eq!(key(a.stats()), key(b.stats()), "{ctx}: shard stats");
+        assert_eq!(a.totals(), b.totals(), "{ctx}: totals");
+        assert_eq!(a.cursor, b.cursor, "{ctx}: fair-grants cursor");
+    }
+
+    #[test]
+    fn fused_slot_equals_grant_path_while_committed_fits_the_link() {
+        // Seeded admit/feed/drain/evict/step scripts on two identical
+        // 1:1 shards: one steps through `process_slot` (the fused pass),
+        // the other is forced through the grant pre-pass and
+        // `fair_grants`. Σ demand ≤ committed ≤ link, so the grants are
+        // the demands and the two must stay identical slot for slot.
+        const LINK: Bytes = 48;
+        const POLICIES: [WirePolicy; 3] = [WirePolicy::Tail, WirePolicy::Head, WirePolicy::Greedy];
+        fn pick(rng: &mut SplitMix64, shard: &Shard) -> Option<SessionId> {
+            let i = rng.range_u64(0, (shard.sessions() as u64).saturating_sub(1));
+            shard.iter_sessions().nth(i as usize).map(|s| s.id())
+        }
+        for seed in 0..16u64 {
+            let mut rng = SplitMix64::new(seed);
+            let mut fused = Shard::new(0, LINK, (1, 1));
+            let mut granted = Shard::new(0, LINK, (1, 1));
+            let mut next_id = 0u64;
+            for slot in 0..400 {
+                match rng.range_u64(0, 9) {
+                    0..=2 => {
+                        let rate = rng.range_u64(1, 8);
+                        let req = AdmitRequest {
+                            rate,
+                            delay: rng.range_u64(1, 6),
+                            link_delay: rng.range_u64(0, 2),
+                            buffer: 0,
+                            weight: rng.range_u64(1, 3),
+                            policy: POLICIES[rng.range_u64(0, 2) as usize],
+                            // 0 = externally fed; above `rate` overloads.
+                            per_slot: rng.range_u64(0, 2 * rate) as u32,
+                            slice_size: rng.range_u64(1, 4) as u32,
+                            lifetime: if rng.chance(0.5) {
+                                0
+                            } else {
+                                rng.range_u64(1, 40)
+                            },
+                        };
+                        let id = next_id;
+                        next_id += 1;
+                        assert_eq!(fused.admit(id, &req), granted.admit(id, &req));
+                    }
+                    3..=5 => {
+                        if let Some(id) = pick(&mut rng, &fused) {
+                            let slices: Vec<(Bytes, Weight)> = (0..rng.range_u64(1, 6))
+                                .map(|_| (rng.range_u64(1, 9), rng.range_u64(1, 5)))
+                                .collect();
+                            assert_eq!(fused.inject(id, &slices), granted.inject(id, &slices));
+                        }
+                    }
+                    6 => {
+                        if let Some(id) = pick(&mut rng, &fused) {
+                            assert_eq!(fused.drain(id), granted.drain(id));
+                        }
+                    }
+                    7 => {
+                        if let Some(id) = pick(&mut rng, &fused) {
+                            assert_eq!(fused.evict(id), granted.evict(id));
+                        }
+                    }
+                    _ => {}
+                }
+                assert!(fused.admission().committed() <= LINK);
+                fused.process_slot();
+                granted.process_slot_via(true);
+                assert_same_shard(
+                    &mut fused,
+                    &mut granted,
+                    &format!("seed {seed} slot {slot}"),
+                );
+            }
+            fused.drain_all();
+            granted.drain_all();
+            assert!(fused.run_until_drained(256));
+            while granted.now() < fused.now() {
+                granted.process_slot_via(true);
+            }
+            assert_same_shard(&mut fused, &mut granted, &format!("seed {seed} drained"));
+            assert!(fused.totals().conserved());
+        }
     }
 
     #[test]

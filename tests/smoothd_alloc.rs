@@ -10,11 +10,14 @@
 //! of one policy.
 //!
 //! The test drives `Shard` directly on the test thread: the daemon's
-//! workers run exactly this loop, and a single thread keeps the global
-//! counter attributable.
+//! workers run exactly this loop. The counters are global, so the tests
+//! hold [`SERIAL`] for their whole body: the harness runs tests on
+//! parallel threads, and each would otherwise count the other's
+//! allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use rts_smoothd::{AdmitRequest, Shard, WirePolicy};
 
@@ -48,6 +51,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Held by each test for its whole body, so the global counters see
+/// one test at a time.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    // A failed test poisons the lock; the counters are still sound.
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 fn snapshot() -> (u64, u64) {
     (
         ALLOCS.load(Ordering::SeqCst),
@@ -57,9 +69,24 @@ fn snapshot() -> (u64, u64) {
 
 #[test]
 fn steady_state_shard_loop_is_allocation_free() {
+    let _serial = serial();
+    // 1:1: the link carries every reserved rate, so each slot takes
+    // the fused single pass.
+    assert_steady_state_allocation_free(4 * 128, (1, 1), 256);
+    // Overbooked 2:1 with the link one session's rate short of the
+    // committed total, so each slot takes the fair-grants pre-pass.
+    // Its server buffers fill up to B only over the first several
+    // hundred slots, so it warms up longer.
+    assert_steady_state_allocation_free(4 * 127, (2, 1), 1024);
+}
+
+/// Admits 128 rate-4 CBR sessions to a shard with this link and
+/// overbooking, warms it up for `warmup` slots, then requires 2 000
+/// slots without a single allocation or free.
+fn assert_steady_state_allocation_free(link: u64, overbook: (u64, u64), warmup: u64) {
     let sessions = 128u64;
     let rate = 4u64;
-    let mut shard = Shard::new(0, rate * sessions, (1, 1));
+    let mut shard = Shard::new(0, link, overbook);
     let req = AdmitRequest {
         rate,
         delay: 4,
@@ -72,13 +99,14 @@ fn steady_state_shard_loop_is_allocation_free() {
         lifetime: 0, // unbounded: pure steady state, no retirements
     };
     for id in 0..sessions {
-        shard.admit(id, &req).expect("link provisioned exactly");
+        shard.admit(id, &req).expect("within the bookable capacity");
     }
 
     // Warmup: scratch vectors, server rings, link queues, and playout
     // rings all reach their steady capacity within the first pipeline
-    // fill (P + D slots) — 256 slots is far past any doubling.
-    for _ in 0..256 {
+    // fill (P + D slots) on an uncontended link — 256 slots is far past
+    // any doubling.
+    for _ in 0..warmup {
         shard.process_slot();
     }
 
@@ -114,6 +142,7 @@ fn steady_state_shard_loop_is_allocation_free() {
 
 #[test]
 fn session_churn_returns_memory_to_the_allocator() {
+    let _serial = serial();
     // Not allocation-free (admission and eviction may allocate), but
     // net heap growth across full churn cycles must stay bounded: the
     // daemon cannot leak a session's worth of state per admit/evict.
