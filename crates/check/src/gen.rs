@@ -435,6 +435,142 @@ impl SimCase {
     }
 }
 
+/// A client-differential instance: the chunk schedule of a simulation
+/// instance delivered over a constant-delay link to a client with its
+/// own capacity, clock, resync policy, drift and stepping stride.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ClientCase {
+    /// The instance whose server produces the chunk schedule.
+    pub sim: SimCase,
+    /// Client capacity `Bc`, drawn from `1..=B` so overflow can strike
+    /// while the newest slice is still partly received.
+    pub capacity: Bytes,
+    /// Timer-anchored playout (`Client::with_timer`) instead of the
+    /// known link delay (`Client::new`).
+    pub timer: bool,
+    /// Resync policy `(max_skew, catchup)`, if any.
+    pub resync: Option<(Time, Time)>,
+    /// Client clock drift `(start, period, slow)`, if any.
+    pub drift: Option<(Time, Time, bool)>,
+    /// The client is stepped every `stride` slots (1 = every slot),
+    /// receiving everything delivered since its last step.
+    pub stride: Time,
+}
+
+impl ClientCase {
+    /// Draws an instance. Half the draws pin `D < ⌈B/R⌉`, so bytes miss
+    /// their deadlines (Late and Incomplete drops).
+    pub fn gen(rng: &mut SplitMix64, profile: &GenProfile) -> ClientCase {
+        let mut sim = SimCase::gen_any(rng, profile);
+        sim.params.buffer = sim.params.buffer.max(1);
+        let drain = sim.params.buffer.div_ceil(sim.params.rate);
+        if rng.chance(0.5) {
+            sim.params.delay = rng.range_u64(0, drain - 1);
+        }
+        let capacity = rng.range_u64(1, sim.params.buffer);
+        let timer = rng.chance(0.5);
+        let resync = rng
+            .chance(0.3)
+            .then(|| (rng.range_u64(1, 6), rng.range_u64(0, 2)));
+        let horizon = sim.stream.frames.len() as Time + 4;
+        let drift = rng.chance(0.3).then(|| {
+            (
+                rng.range_u64(0, horizon),
+                rng.range_u64(2, 6),
+                rng.chance(0.5),
+            )
+        });
+        let stride = if rng.chance(0.5) {
+            rng.range_u64(2, 4)
+        } else {
+            1
+        };
+        ClientCase {
+            sim,
+            capacity,
+            timer,
+            resync,
+            drift,
+            stride,
+        }
+    }
+
+    /// The resync policy, if any.
+    pub fn resync_policy(&self) -> Option<ResyncPolicy> {
+        self.resync
+            .map(|(max_skew, catchup)| ResyncPolicy::new(max_skew, catchup))
+    }
+
+    /// The clock drift, if any.
+    pub fn clock_drift(&self) -> Option<ClockDrift> {
+        self.drift
+            .map(|(start, period, slow)| ClockDrift::new(start, period, slow))
+    }
+
+    /// Reproducer text: the client line, then the instance.
+    pub fn describe(&self) -> String {
+        let resync = self
+            .resync
+            .map_or("none".to_string(), |(m, c)| format!("{m}/{c}"));
+        let drift = self
+            .drift
+            .map_or("none".to_string(), |(start, period, slow)| {
+                let sign = if slow { '-' } else { '+' };
+                format!("{start}{sign}1/{period}")
+            });
+        format!(
+            "# client: capacity={} clock={} resync={resync} drift={drift} stride={}\n{}",
+            self.capacity,
+            if self.timer { "timer" } else { "known" },
+            self.stride,
+            self.sim.describe()
+        )
+    }
+
+    /// Shrinks the client knobs towards the plain known-delay client
+    /// stepped every slot, then the underlying instance.
+    pub fn shrink(&self) -> Vec<ClientCase> {
+        let mut out = Vec::new();
+        if self.timer {
+            out.push(ClientCase {
+                timer: false,
+                ..self.clone()
+            });
+        }
+        if self.resync.is_some() {
+            out.push(ClientCase {
+                resync: None,
+                ..self.clone()
+            });
+        }
+        if self.drift.is_some() {
+            out.push(ClientCase {
+                drift: None,
+                ..self.clone()
+            });
+        }
+        for stride in shrink_u64(self.stride, 1) {
+            out.push(ClientCase {
+                stride,
+                ..self.clone()
+            });
+        }
+        for capacity in shrink_u64(self.capacity, 1) {
+            out.push(ClientCase {
+                capacity,
+                ..self.clone()
+            });
+        }
+        for sim in self.sim.shrink() {
+            out.push(ClientCase {
+                sim,
+                ..self.clone()
+            });
+        }
+        out
+    }
+}
+
 /// A fault-injection instance: a balanced simulation plus a fault plan,
 /// a resync policy, and optionally a deterministic clock drift.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -25,6 +25,7 @@ pub mod gen;
 pub mod invariants;
 pub mod offline;
 pub mod oracles;
+mod reference_client;
 pub mod smoothd;
 pub mod telemetry;
 

@@ -14,6 +14,7 @@
 //! | `mux-single-vs-sim` | one-session multiplexer vs the plain simulator |
 //! | `client-step-vs-into` | `Client::step` vs the scratch-reusing `step_into` |
 //! | `client-timer-vs-known` | timer-anchored playout vs known-link-delay playout |
+//! | `client-queue-vs-reference` | FIFO deadline-queue client vs the map-based reference |
 //! | `greedy-heap-vs-rescan` | lazy-heap Greedy vs the O(n) rescan reference |
 //! | `flow-vs-brute` | min-cost-flow unit reference vs 2^n enumeration |
 //! | `framedp-vs-brute` | whole-frame DP optimum vs 2^n enumeration |
@@ -22,7 +23,7 @@
 //! | `textio-roundtrip` | write→parse identity, plus BOM/CRLF mangling |
 
 use rts_core::policy::{GreedyByteValue, GreedyRescan};
-use rts_core::{BufferBacking, Client, SentChunk, Server};
+use rts_core::{BufferBacking, Client, ClientStep, SentChunk, Server};
 use rts_faults::{simulate_faulted, FaultPlan};
 use rts_mux::{Mux, RoundRobin, SessionSpec};
 use rts_obs::VecProbe;
@@ -30,7 +31,8 @@ use rts_sim::{run_server_only, simulate, simulate_probed, SimConfig, SimReport};
 use rts_stream::{textio, InputStream, Time};
 
 use crate::engine::{run_property, CheckConfig, CheckStats, Failure, Verdict};
-use crate::gen::{GenProfile, SimCase, StreamCase};
+use crate::gen::{ClientCase, GenProfile, SimCase, StreamCase};
+use crate::reference_client::ReferenceClient;
 use crate::{Check, CheckKind};
 
 type CheckResult = Result<CheckStats, Box<Failure>>;
@@ -46,11 +48,10 @@ fn reports_equal(a: &SimReport, b: &SimReport, what: &str) -> Verdict {
             a.metrics, b.metrics
         ));
     }
-    if a.record.slices() != b.record.slices() {
+    if !a.record.slices().eq(b.record.slices()) {
         let i = a
             .record
             .slices()
-            .iter()
             .zip(b.record.slices())
             .position(|(x, y)| x != y)
             .map_or(usize::MAX, |i| i);
@@ -266,6 +267,79 @@ fn client_timer_vs_known(cfg: &CheckConfig) -> CheckResult {
     )
 }
 
+fn client_queue_vs_reference(cfg: &CheckConfig) -> CheckResult {
+    run_property(
+        cfg,
+        |rng| ClientCase::gen(rng, &GenProfile::small()),
+        ClientCase::shrink,
+        ClientCase::describe,
+        |case| {
+            let params = case.sim.params;
+            // Chunks sent at slot t are delivered at t + P.
+            let link_delay = params.link_delay as usize;
+            let mut deliveries = vec![Vec::new(); link_delay];
+            deliveries.extend(chunk_schedule(&case.sim));
+
+            let (mut queue, mut reference) = if case.timer {
+                (
+                    Client::with_timer(case.capacity, params.delay),
+                    ReferenceClient::with_timer(case.capacity, params.delay),
+                )
+            } else {
+                (
+                    Client::new(case.capacity, params.delay, params.link_delay),
+                    ReferenceClient::new(case.capacity, params.delay, params.link_delay),
+                )
+            };
+            if let Some(policy) = case.resync_policy() {
+                queue = queue.with_resync(policy);
+                reference = reference.with_resync(policy);
+            }
+            if let Some(drift) = case.clock_drift() {
+                queue = queue.with_drift(drift);
+                reference = reference.with_drift(drift);
+            }
+
+            // Step both every `stride` slots with everything delivered
+            // since their last step, until the deliveries run out and
+            // both buffers are empty.
+            const FLUSH_CAP: Time = 1_000;
+            let end = deliveries.len() as Time;
+            let mut batch = Vec::new();
+            let (mut qstep, mut rstep) = (ClientStep::default(), ClientStep::default());
+            for t in 0..end + FLUSH_CAP {
+                if let Some(chunks) = deliveries.get(t as usize) {
+                    batch.extend_from_slice(chunks);
+                }
+                if t % case.stride != 0 {
+                    continue;
+                }
+                queue.step_into(t, &batch, &mut qstep);
+                reference.step_into(t, &batch, &mut rstep);
+                batch.clear();
+                if qstep != rstep {
+                    return Verdict::fail(format!(
+                        "queue client diverges from the reference at t={t}:\n  queue:     {qstep:?}\n  reference: {rstep:?}"
+                    ));
+                }
+                let state = (queue.occupancy(), queue.resync_offset());
+                let expected = (reference.occupancy(), reference.resync_offset());
+                if state != expected {
+                    return Verdict::fail(format!(
+                        "after t={t} (occupancy, resync offset) is {state:?}, reference {expected:?}"
+                    ));
+                }
+                if t >= end && state.0 == 0 {
+                    return Verdict::Pass;
+                }
+            }
+            Verdict::fail(format!(
+                "clients still hold data {FLUSH_CAP} slots after the last delivery"
+            ))
+        },
+    )
+}
+
 fn greedy_heap_vs_rescan(cfg: &CheckConfig) -> CheckResult {
     run_property(
         cfg,
@@ -449,6 +523,12 @@ pub fn checks() -> Vec<Check> {
             binds: "timer-anchored playout == known-link-delay playout (Section 3.1.2)",
             kind: CheckKind::Oracle,
             run: client_timer_vs_known,
+        },
+        Check {
+            name: "client-queue-vs-reference",
+            binds: "FIFO deadline-queue Client == order-agnostic map-based reference client",
+            kind: CheckKind::Oracle,
+            run: client_queue_vs_reference,
         },
         Check {
             name: "greedy-heap-vs-rescan",

@@ -21,8 +21,30 @@
 //! when `D < B/R`, by Lemma 3.3), slices that are incomplete at their
 //! deadline, and arrivals that would overflow a client buffer smaller
 //! than `B` (impossible when `Bc = B = R·D`, by Lemma 3.4).
+//!
+//! # The FIFO premise
+//!
+//! The server transmits its buffer in slice-id order, and every link
+//! model is FIFO (the `LinkModel` contract in `rts-sim`), so chunks
+//! reach the client in non-decreasing id order. Ids are arrival order
+//! and a deadline is `AT + const` under both clocks, so the slices the
+//! client holds are sorted by deadline simply by being kept in delivery
+//! order. The client therefore keeps one queue:
+//!
+//! * playout pops the front while its deadline has come;
+//! * the overflow victim (the newest deadline) is the back;
+//! * only the back can still be receiving bytes, so a late chunk
+//!   discards at most the back;
+//! * every chunk whose id is at or below the largest discarded id is a
+//!   remainder of a discarded slice, so one watermark recognizes them
+//!   all.
+//!
+//! A link that reordered chunks would break this premise (debug builds
+//! assert it). `rts-check`'s `client-queue-vs-reference` oracle drives
+//! this client and an order-agnostic map-based reference over the same
+//! chunk schedules and requires identical steps.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::VecDeque;
 
 use rts_obs::{DropReason, DropSite, Event, Probe};
 use rts_stream::{Bytes, Slice, SliceId, Time};
@@ -173,9 +195,12 @@ impl ClientStep {
     }
 }
 
+/// A slice the client holds: its playout deadline and the bytes
+/// received so far.
 #[derive(Debug, Clone)]
 struct Pending {
     slice: Slice,
+    deadline: Time,
     received: Bytes,
 }
 
@@ -215,9 +240,12 @@ pub struct Client {
     capacity: Bytes,
     delay: Time,
     clock: PlayoutClock,
-    pending: HashMap<SliceId, Pending>,
-    deadlines: BTreeMap<Time, Vec<SliceId>>,
-    rejected: HashSet<SliceId>,
+    /// Slices being received or awaiting playout, in delivery order —
+    /// hence in id and deadline order (see the module docs).
+    pending: VecDeque<Pending>,
+    /// The largest id discarded so far: chunks at or below it belong to
+    /// discarded slices and are ignored.
+    rejected_upto: Option<SliceId>,
     occupancy: Bytes,
     resync: Option<ResyncPolicy>,
     drift: Option<ClockDrift>,
@@ -234,9 +262,8 @@ impl Client {
             capacity,
             delay,
             clock: PlayoutClock::Known { link_delay },
-            pending: HashMap::new(),
-            deadlines: BTreeMap::new(),
-            rejected: HashSet::new(),
+            pending: VecDeque::new(),
+            rejected_upto: None,
             occupancy: 0,
             resync: None,
             drift: None,
@@ -258,16 +285,8 @@ impl Client {
     /// random schedules.
     pub fn with_timer(capacity: Bytes, delay: Time) -> Self {
         Client {
-            capacity,
-            delay,
             clock: PlayoutClock::Timer { origin: None },
-            pending: HashMap::new(),
-            deadlines: BTreeMap::new(),
-            rejected: HashSet::new(),
-            occupancy: 0,
-            resync: None,
-            drift: None,
-            offset: 0,
+            ..Client::new(capacity, delay, 0)
         }
     }
 
@@ -368,27 +387,23 @@ impl Client {
         // clock drift and any un-recovered resync offset otherwise.
         // Deadlines earlier than that can linger only if no step() call
         // happened at the exact slot; processing them here keeps the
-        // client robust to sparse stepping.
+        // client robust to sparse stepping. The queue is deadline-sorted,
+        // so the due slices are a prefix of it.
         let now = self.virtual_now(t);
-        while let Some((&due, _)) = self.deadlines.first_key_value() {
-            if due > now {
+        while let Some(p) = self.pending.front() {
+            if p.deadline > now {
                 break;
             }
-            let (_, ids) = self.deadlines.pop_first().expect("checked non-empty");
-            for id in ids {
-                let Some(p) = self.pending.remove(&id) else {
-                    continue; // already discarded (overflow)
-                };
-                self.occupancy -= p.received;
-                if p.received == p.slice.size {
-                    out.played.push(p.slice);
-                } else {
-                    self.rejected.insert(id);
-                    out.dropped.push(ClientDrop {
-                        slice: p.slice,
-                        reason: ClientDropReason::Incomplete,
-                    });
-                }
+            let p = self.pending.pop_front().expect("front checked");
+            self.occupancy -= p.received;
+            if p.received == p.slice.size {
+                out.played.push(p.slice);
+            } else {
+                self.reject(p.slice.id);
+                out.dropped.push(ClientDrop {
+                    slice: p.slice,
+                    reason: ClientDropReason::Incomplete,
+                });
             }
         }
 
@@ -396,23 +411,19 @@ impl Client {
         // step exceeds the capacity, whole slices are discarded. The
         // paper leaves the victim unspecified (with Bc = B = R·D
         // overflow never occurs, Lemma 3.4); we discard the data that
-        // would be played *last* — the newest deadlines first — which
-        // preserves the most imminent frames.
+        // would be played *last* — the newest deadlines first, i.e. the
+        // back of the queue — which preserves the most imminent frames.
         while self.occupancy > self.capacity {
-            let Some(mut last) = self.deadlines.last_entry() else {
-                unreachable!("positive occupancy implies registered pending slices");
-            };
-            let ids = last.get_mut();
-            let victim = ids.pop();
-            if ids.is_empty() {
-                last.remove();
-            }
-            if let Some(id) = victim {
-                if let Some(p) = self.pending.get(&id) {
-                    let slice = p.slice;
-                    self.discard(id, slice, ClientDropReason::Overflow, out);
-                }
-            }
+            let p = self
+                .pending
+                .pop_back()
+                .expect("positive occupancy implies pending slices");
+            self.occupancy -= p.received;
+            self.reject(p.slice.id);
+            out.dropped.push(ClientDrop {
+                slice: p.slice,
+                reason: ClientDropReason::Overflow,
+            });
         }
 
         // Bounded catch-up: claw back some of the re-anchor offset so
@@ -481,9 +492,13 @@ impl Client {
 
     fn receive(&mut self, t: Time, chunk: &SentChunk, out: &mut ClientStep) {
         let id = chunk.slice.id;
-        if self.rejected.contains(&id) {
+        if self.rejected_upto.is_some_and(|r| id <= r) {
             return; // remainder of an already-discarded slice
         }
+        debug_assert!(
+            self.pending.back().is_none_or(|p| p.slice.id <= id),
+            "chunks must reach the client in slice-id order (FIFO premise)"
+        );
         // First arrival anchors the timer-based clock.
         if let PlayoutClock::Timer {
             origin: origin @ None,
@@ -508,38 +523,49 @@ impl Client {
                     out.resyncs.push(skew);
                 }
                 _ => {
-                    self.discard(id, chunk.slice, ClientDropReason::Late, out);
+                    // Only the newest slice can hold earlier bytes.
+                    if self.pending.back().is_some_and(|p| p.slice.id == id) {
+                        let p = self.pending.pop_back().expect("back checked");
+                        self.occupancy -= p.received;
+                    }
+                    self.reject(id);
+                    out.dropped.push(ClientDrop {
+                        slice: chunk.slice,
+                        reason: ClientDropReason::Late,
+                    });
                     return;
                 }
             }
         }
-        let entry = self.pending.entry(id).or_insert_with(|| {
-            self.deadlines.entry(deadline).or_default().push(id);
-            Pending {
-                slice: chunk.slice,
-                received: 0,
+        match self.pending.back_mut() {
+            Some(p) if p.slice.id == id => p.received += chunk.bytes,
+            back => {
+                debug_assert!(
+                    back.is_none_or(|p| p.deadline <= deadline),
+                    "slice ids must be in arrival order"
+                );
+                self.pending.push_back(Pending {
+                    slice: chunk.slice,
+                    deadline,
+                    received: chunk.bytes,
+                });
             }
-        });
-        entry.received += chunk.bytes;
+        }
         self.occupancy += chunk.bytes;
         debug_assert!(
-            entry.received <= entry.slice.size,
+            self.pending
+                .back()
+                .is_some_and(|p| p.received <= p.slice.size),
             "received more bytes than the slice holds"
         );
     }
 
-    fn discard(
-        &mut self,
-        id: SliceId,
-        slice: Slice,
-        reason: ClientDropReason,
-        out: &mut ClientStep,
-    ) {
-        if let Some(p) = self.pending.remove(&id) {
-            self.occupancy -= p.received;
-        }
-        self.rejected.insert(id);
-        out.dropped.push(ClientDrop { slice, reason });
+    /// Marks `id` discarded. The watermark keeps the *largest* such id:
+    /// one overflow pass can discard an incomplete newest slice and
+    /// then older complete ones, and the newest one's remaining bytes
+    /// must still be ignored.
+    fn reject(&mut self, id: SliceId) {
+        self.rejected_upto = Some(self.rejected_upto.map_or(id, |r| r.max(id)));
     }
 }
 
@@ -649,6 +675,71 @@ mod tests {
         assert_eq!(st.dropped.len(), 1);
         assert_eq!(st.dropped[0].reason, ClientDropReason::Overflow);
         assert_eq!(c.occupancy(), 0);
+    }
+
+    #[test]
+    fn one_overflow_pass_discards_the_partial_newest_then_older_slices() {
+        let mut c = Client::new(1, 5, 0);
+        let a = slice(0, 0, 2);
+        let b = slice(1, 0, 3);
+        // a complete, b two bytes in: 4 bytes against a capacity of 1.
+        let st = c.step(0, &[chunk(a, 0, 2, true), chunk(b, 0, 2, false)]);
+        let dropped: Vec<_> = st.dropped.iter().map(|d| (d.slice.id, d.reason)).collect();
+        assert_eq!(
+            dropped,
+            vec![
+                (SliceId(1), ClientDropReason::Overflow),
+                (SliceId(0), ClientDropReason::Overflow),
+            ],
+            "newest first, then the older complete slice"
+        );
+        assert_eq!(st.occupancy, 0);
+        // b's last byte is ignored although a (the last discard) is
+        // older: the watermark is the largest discarded id.
+        let next = slice(2, 1, 1);
+        let st = c.step(1, &[chunk(b, 1, 1, true), chunk(next, 1, 1, true)]);
+        assert!(st.dropped.is_empty());
+        assert_eq!(st.occupancy, 1, "only the next slice is stored");
+        for t in 2..6 {
+            assert!(c.step(t, &[]).played.is_empty());
+        }
+        assert_eq!(c.step(6, &[]).played, vec![next]);
+        assert!(c.is_drained());
+    }
+
+    #[test]
+    fn late_first_chunk_behind_stored_slices_leaves_them_alone() {
+        let mut c = Client::new(100, 1, 0);
+        let a = slice(0, 0, 2);
+        let b = slice(1, 1, 1);
+        c.step(0, &[chunk(a, 0, 2, true)]);
+        // Sparse stepping: the next step is t=5, past both deadlines.
+        // b's first chunk is late; a is stored ahead of it and plays.
+        let st = c.step(5, &[chunk(b, 5, 1, true)]);
+        assert_eq!(st.dropped.len(), 1);
+        assert_eq!(st.dropped[0].slice, b);
+        assert_eq!(st.dropped[0].reason, ClientDropReason::Late);
+        assert_eq!(st.played, vec![a]);
+        assert_eq!(st.peak_occupancy, 2, "the late byte is never stored");
+        assert!(c.is_drained());
+    }
+
+    #[test]
+    fn incomplete_head_does_not_block_newer_complete_slices() {
+        let mut c = Client::new(100, 1, 0);
+        let a = slice(0, 0, 3);
+        let b = slice(1, 0, 1);
+        let later = slice(2, 1, 2);
+        // a's remaining bytes never come (the sender gave up on it).
+        c.step(0, &[chunk(a, 0, 1, false), chunk(b, 0, 1, true)]);
+        let st = c.step(1, &[chunk(later, 1, 2, true)]);
+        assert_eq!(st.played, vec![b]);
+        assert_eq!(st.dropped.len(), 1);
+        assert_eq!(st.dropped[0].slice, a);
+        assert_eq!(st.dropped[0].reason, ClientDropReason::Incomplete);
+        assert_eq!(st.occupancy, 2, "the newer slice stays stored");
+        assert_eq!(c.step(2, &[]).played, vec![later]);
+        assert!(c.is_drained());
     }
 
     #[test]

@@ -176,7 +176,7 @@ pub fn simulate_with_link_probed<P: DropPolicy, L: LinkModel, Pr: Probe>(
     if let Some(drift) = config.drift {
         client = client.with_drift(drift);
     }
-    let mut record = ScheduleRecord::for_slices(stream.slices());
+    let mut record = ScheduleRecord::for_stream(stream);
     let policy_name = server.policy_name();
 
     let last_arrival = stream.last_arrival().unwrap_or(0);
@@ -399,7 +399,7 @@ mod tests {
     fn every_slice_is_resolved() {
         let stream = unit_frames(&[5, 9, 0, 3, 12, 0, 0, 7]);
         let report = simulate(&stream, balanced(2, 2, 3), TailDrop::new());
-        assert!(report.record.slices().iter().all(|r| r.fate.is_some()));
+        assert!(report.record.slices().all(|r| r.fate.is_some()));
         assert_eq!(
             report.metrics.played_slices
                 + report.metrics.server_dropped_slices

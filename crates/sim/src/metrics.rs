@@ -83,33 +83,82 @@ impl std::fmt::Display for ConservationError {
 
 impl std::error::Error for ConservationError {}
 
+/// Every frame kind, indexed by [`kind_slot`].
+const KINDS: [FrameKind; 4] = [FrameKind::I, FrameKind::P, FrameKind::B, FrameKind::Generic];
+
+fn kind_slot(kind: FrameKind) -> usize {
+    match kind {
+        FrameKind::I => 0,
+        FrameKind::P => 1,
+        FrameKind::B => 2,
+        FrameKind::Generic => 3,
+    }
+}
+
+/// Every client drop reason, indexed by [`reason_slot`].
+const REASONS: [ClientDropReason; 3] = [
+    ClientDropReason::Overflow,
+    ClientDropReason::Late,
+    ClientDropReason::Incomplete,
+];
+
+fn reason_slot(reason: ClientDropReason) -> usize {
+    match reason {
+        ClientDropReason::Overflow => 0,
+        ClientDropReason::Late => 1,
+        ClientDropReason::Incomplete => 2,
+    }
+}
+
 impl Metrics {
     /// Computes metrics from a completed schedule record.
+    ///
+    /// One pass over the slice and outcome columns folds per-kind
+    /// weights and client-drop reasons into fixed arrays; the maps are
+    /// built once at the end. A kind appears iff some slice of it was
+    /// offered (or played), a reason iff some drop had it.
     pub fn from_record(record: &ScheduleRecord) -> Metrics {
         let mut m = Metrics::default();
-        for r in record.slices() {
-            m.offered_bytes += r.slice.size;
-            m.offered_weight += r.slice.weight;
-            *m.offered_weight_by_kind.entry(r.slice.kind).or_default() += r.slice.weight;
-            match r.fate {
+        let mut offered_by_kind = [None::<Weight>; KINDS.len()];
+        let mut benefit_by_kind = [None::<Weight>; KINDS.len()];
+        let mut reasons = [0u64; REASONS.len()];
+        for (s, outcome) in record.columns() {
+            let kind = kind_slot(s.kind);
+            m.offered_bytes += s.size;
+            m.offered_weight += s.weight;
+            *offered_by_kind[kind].get_or_insert(0) += s.weight;
+            match outcome.fate() {
                 Some(Fate::Played { .. }) => {
-                    m.played_bytes += r.slice.size;
-                    m.benefit += r.slice.weight;
+                    m.played_bytes += s.size;
+                    m.benefit += s.weight;
                     m.played_slices += 1;
-                    *m.benefit_by_kind.entry(r.slice.kind).or_default() += r.slice.weight;
+                    *benefit_by_kind[kind].get_or_insert(0) += s.weight;
                 }
                 Some(Fate::ServerDropped { .. }) => {
                     m.server_dropped_slices += 1;
-                    m.server_dropped_bytes += r.slice.size;
+                    m.server_dropped_bytes += s.size;
                 }
                 Some(Fate::ClientDropped { reason, .. }) => {
                     m.client_dropped_slices += 1;
-                    m.client_dropped_bytes += r.slice.size;
-                    *m.client_drop_reasons.entry(reason).or_default() += 1;
+                    m.client_dropped_bytes += s.size;
+                    reasons[reason_slot(reason)] += 1;
                 }
                 None => {
-                    m.residual_bytes += r.slice.size;
+                    m.residual_bytes += s.size;
                 }
+            }
+        }
+        for (slot, kind) in KINDS.into_iter().enumerate() {
+            if let Some(w) = offered_by_kind[slot] {
+                m.offered_weight_by_kind.insert(kind, w);
+            }
+            if let Some(w) = benefit_by_kind[slot] {
+                m.benefit_by_kind.insert(kind, w);
+            }
+        }
+        for (slot, reason) in REASONS.into_iter().enumerate() {
+            if reasons[slot] > 0 {
+                m.client_drop_reasons.insert(reason, reasons[slot]);
             }
         }
         for s in record.steps() {
@@ -195,7 +244,7 @@ mod tests {
             SliceSpec::new(1, 1, FrameKind::B),
             SliceSpec::new(3, 24, FrameKind::P),
         ]]);
-        let mut r = ScheduleRecord::for_slices(stream.slices());
+        let mut r = ScheduleRecord::for_stream(&stream);
         r.resolve(rts_stream::SliceId(0), Fate::Played { playout: 5 });
         r.resolve(rts_stream::SliceId(1), Fate::ServerDropped { time: 0 });
         r.resolve(
@@ -257,7 +306,7 @@ mod tests {
     #[test]
     fn unresolved_slices_count_as_residual() {
         let stream = InputStream::from_frames([vec![SliceSpec::new(4, 1, FrameKind::Generic)]]);
-        let r = ScheduleRecord::for_slices(stream.slices());
+        let r = ScheduleRecord::for_stream(&stream);
         let m = Metrics::from_record(&r);
         assert_eq!(m.residual_bytes, 4);
         m.check_conservation()
@@ -280,6 +329,34 @@ mod tests {
         assert_eq!(m.offered_weight_by_kind[&FrameKind::I], 24);
         assert_eq!(m.benefit_by_kind.get(&FrameKind::P), None);
         assert_eq!(m.benefit_by_kind[&FrameKind::I], 24);
+
+        // A kind whose slices all weigh 0 stays present with weight 0;
+        // a drop reason no slice had stays absent.
+        let stream = InputStream::from_frames([vec![
+            SliceSpec::new(2, 0, FrameKind::B),
+            SliceSpec::new(1, 0, FrameKind::B),
+            SliceSpec::new(3, 0, FrameKind::Generic),
+        ]]);
+        let mut r = ScheduleRecord::for_stream(&stream);
+        r.resolve(rts_stream::SliceId(0), Fate::Played { playout: 2 });
+        r.resolve(
+            rts_stream::SliceId(1),
+            Fate::ClientDropped {
+                time: 2,
+                reason: ClientDropReason::Incomplete,
+            },
+        );
+        r.resolve(rts_stream::SliceId(2), Fate::ServerDropped { time: 0 });
+        let m = Metrics::from_record(&r);
+        assert_eq!(
+            m.offered_weight_by_kind,
+            BTreeMap::from([(FrameKind::B, 0), (FrameKind::Generic, 0)])
+        );
+        assert_eq!(m.benefit_by_kind, BTreeMap::from([(FrameKind::B, 0)]));
+        assert_eq!(
+            m.client_drop_reasons,
+            BTreeMap::from([(ClientDropReason::Incomplete, 1)])
+        );
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! against this record (see [`validate`](crate::validate)).
 
 use rts_core::ClientDropReason;
-use rts_stream::{Bytes, Slice, SliceId, Time};
+use rts_stream::{Bytes, InputStream, Slice, SliceId, Time};
 
 /// The final fate of a slice in a schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,7 +36,7 @@ impl Fate {
     }
 }
 
-/// Per-slice schedule entry.
+/// Per-slice schedule entry, as [`ScheduleRecord`] yields it (by value).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SliceRecord {
     /// The slice (carries `AT`, size, weight, kind).
@@ -66,26 +66,90 @@ pub struct StepSample {
     pub link_in_flight: Bytes,
 }
 
+/// "No time recorded" in an [`Outcome`] time field.
+const NONE: Time = Time::MAX;
+
+fn opt_time(t: Time) -> Option<Time> {
+    (t != NONE).then_some(t)
+}
+
+/// How a slice's fate is encoded in its [`Outcome`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum FateTag {
+    Unresolved,
+    Played,
+    ServerDropped,
+    ClientDropped(ClientDropReason),
+}
+
+/// The per-slice column the engine writes while it runs: send times and
+/// fate, sentinel-coded in 32 bytes. The slices themselves live in a
+/// separate column that the engine only reads.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Outcome {
+    first_send: Time,
+    last_send: Time,
+    fate_time: Time,
+    fate: FateTag,
+}
+
+const _: () = assert!(std::mem::size_of::<Outcome>() <= 32);
+
+impl Outcome {
+    const UNRESOLVED: Outcome = Outcome {
+        first_send: NONE,
+        last_send: NONE,
+        fate_time: NONE,
+        fate: FateTag::Unresolved,
+    };
+
+    /// The decoded fate (`None` while unresolved).
+    pub(crate) fn fate(&self) -> Option<Fate> {
+        let time = self.fate_time;
+        match self.fate {
+            FateTag::Unresolved => None,
+            FateTag::Played => Some(Fate::Played { playout: time }),
+            FateTag::ServerDropped => Some(Fate::ServerDropped { time }),
+            FateTag::ClientDropped(reason) => Some(Fate::ClientDropped { time, reason }),
+        }
+    }
+
+    /// The by-value record of `slice` with this outcome.
+    fn view(&self, slice: Slice) -> SliceRecord {
+        SliceRecord {
+            slice,
+            first_send: opt_time(self.first_send),
+            last_send: opt_time(self.last_send),
+            fate: self.fate(),
+        }
+    }
+}
+
 /// The complete record of one simulated schedule.
+///
+/// Slices and their outcomes are stored as two columns indexed by slice
+/// id; [`SliceRecord`] is the by-value view that joins them.
 #[derive(Debug, Clone, Default)]
 pub struct ScheduleRecord {
-    slices: Vec<SliceRecord>,
+    slices: Vec<Slice>,
+    outcomes: Vec<Outcome>,
     steps: Vec<StepSample>,
 }
 
 impl ScheduleRecord {
-    /// Creates a record pre-populated with every slice of the stream (in
-    /// id order), all unresolved.
-    pub fn for_slices<'a>(slices: impl Iterator<Item = &'a Slice>) -> Self {
+    /// Creates a record holding every slice of `stream` (in id order),
+    /// all unresolved.
+    pub fn for_stream(stream: &InputStream) -> Self {
+        let n = stream.slice_count();
+        let mut slices = Vec::with_capacity(n);
+        slices.extend(stream.slices().copied());
+        debug_assert!(
+            slices.iter().enumerate().all(|(i, s)| s.id.index() == i),
+            "slice ids must be dense and in stream order"
+        );
         ScheduleRecord {
-            slices: slices
-                .map(|&slice| SliceRecord {
-                    slice,
-                    first_send: None,
-                    last_send: None,
-                    fate: None,
-                })
-                .collect(),
+            slices,
+            outcomes: vec![Outcome::UNRESOLVED; n],
             steps: Vec::new(),
         }
     }
@@ -101,9 +165,12 @@ impl ScheduleRecord {
         self.steps.reserve(n.min(CAP));
     }
 
-    /// All slice records, indexed by slice id.
-    pub fn slices(&self) -> &[SliceRecord] {
-        &self.slices
+    /// All slice records, in id order.
+    pub fn slices(&self) -> impl ExactSizeIterator<Item = SliceRecord> + '_ {
+        self.slices
+            .iter()
+            .zip(&self.outcomes)
+            .map(|(&slice, o)| o.view(slice))
     }
 
     /// The per-step samples, in time order.
@@ -112,25 +179,40 @@ impl ScheduleRecord {
     }
 
     /// Record of one slice.
-    pub fn slice(&self, id: SliceId) -> &SliceRecord {
-        &self.slices[id.index()]
+    pub fn slice(&self, id: SliceId) -> SliceRecord {
+        self.outcomes[id.index()].view(self.slices[id.index()])
+    }
+
+    /// The slice and outcome columns side by side, in id order (the
+    /// metrics fold reads these without building [`SliceRecord`]s).
+    pub(crate) fn columns(&self) -> impl Iterator<Item = (&Slice, &Outcome)> + '_ {
+        self.slices.iter().zip(&self.outcomes)
     }
 
     pub(crate) fn note_send(&mut self, id: SliceId, time: Time, completed: bool) {
-        let r = &mut self.slices[id.index()];
-        if r.first_send.is_none() {
-            r.first_send = Some(time);
+        debug_assert!(time != NONE, "send time collides with the sentinel");
+        let o = &mut self.outcomes[id.index()];
+        if o.first_send == NONE {
+            o.first_send = time;
         }
         if completed {
-            debug_assert!(r.last_send.is_none(), "slice completed twice");
-            r.last_send = Some(time);
+            debug_assert!(o.last_send == NONE, "slice completed twice");
+            o.last_send = time;
         }
     }
 
     pub(crate) fn resolve(&mut self, id: SliceId, fate: Fate) {
-        let r = &mut self.slices[id.index()];
-        debug_assert!(r.fate.is_none(), "slice {id} resolved twice: {:?}", r.fate);
-        r.fate = Some(fate);
+        let o = &mut self.outcomes[id.index()];
+        debug_assert!(
+            o.fate == FateTag::Unresolved,
+            "slice {id} resolved twice: {:?}",
+            o.fate()
+        );
+        (o.fate, o.fate_time) = match fate {
+            Fate::Played { playout } => (FateTag::Played, playout),
+            Fate::ServerDropped { time } => (FateTag::ServerDropped, time),
+            Fate::ClientDropped { time, reason } => (FateTag::ClientDropped(reason), time),
+        };
     }
 
     pub(crate) fn push_step(&mut self, sample: StepSample) {
@@ -142,8 +224,8 @@ impl ScheduleRecord {
     }
 
     /// Iterates over played slices with their playout times.
-    pub fn played(&self) -> impl Iterator<Item = (&SliceRecord, Time)> + '_ {
-        self.slices.iter().filter_map(|r| match r.fate {
+    pub fn played(&self) -> impl Iterator<Item = (SliceRecord, Time)> + '_ {
+        self.slices().filter_map(|r| match r.fate {
             Some(Fate::Played { playout }) => Some((r, playout)),
             _ => None,
         })
@@ -153,21 +235,21 @@ impl ScheduleRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rts_stream::{FrameKind, InputStream, SliceSpec};
+    use rts_stream::{FrameKind, SliceSpec};
 
     fn record() -> ScheduleRecord {
         let stream = InputStream::from_frames([
             vec![SliceSpec::new(2, 5, FrameKind::I)],
             vec![SliceSpec::unit()],
         ]);
-        ScheduleRecord::for_slices(stream.slices())
+        ScheduleRecord::for_stream(&stream)
     }
 
     #[test]
     fn prepopulated_unresolved() {
         let r = record();
         assert_eq!(r.slices().len(), 2);
-        assert!(r.slices().iter().all(|s| s.fate.is_none()));
+        assert!(r.slices().all(|s| s.fate.is_none()));
         assert_eq!(r.slice(SliceId(1)).slice.arrival, 1);
     }
 

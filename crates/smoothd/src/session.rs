@@ -3,9 +3,11 @@
 //!
 //! The daemon steps up to a million sessions per shard loop, so the
 //! per-slot path through a session must not allocate. The core crate's
-//! [`rts_core::Client`] keeps a `BTreeMap` of deadlines and allocates
-//! nodes as slices arrive; [`PlayoutRing`] replaces it here with a
-//! fixed ring of `D + 1` deadline buckets. The sojourn bound of
+//! [`rts_core::Client`] is allocation-free in steady state too, but it
+//! keeps every pending slice in a queue because the simulator records
+//! each slice's fate. The daemon keeps no per-slice record, so
+//! [`PlayoutRing`] aggregates instead: a fixed ring of `D + 1` deadline
+//! buckets holding byte, weight and slice counts. The sojourn bound of
 //! Lemma 3.3 makes the ring sufficient: a slice arriving at the server
 //! at `a` is delivered no earlier than `a + P` and plays at exactly
 //! `a + P + D`, so at any client slot `t` every resolvable deadline

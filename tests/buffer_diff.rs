@@ -62,8 +62,8 @@ where
         "{policy} under {slicing:?}: per-step series diverge"
     );
     assert_eq!(
-        ring.record.slices(),
-        map.record.slices(),
+        ring.record.slices().collect::<Vec<_>>(),
+        map.record.slices().collect::<Vec<_>>(),
         "{policy} under {slicing:?}: per-slice records diverge"
     );
     // The run must actually exercise the drop machinery for the

@@ -134,6 +134,11 @@ fn timer_client_equals_closed_form_client() {
 }
 
 #[test]
+fn queue_client_equals_reference_client() {
+    check("client-queue-vs-reference");
+}
+
+#[test]
 fn greedy_heap_equals_greedy_rescan() {
     check("greedy-heap-vs-rescan");
 }

@@ -1,5 +1,6 @@
-//! Long-run memory regression test for the smoothd shard loop
-//! (ISSUE 6 acceptance: the steady-state slot loop is allocation-free).
+//! Long-run memory regression tests for the steady-state slot loops:
+//! the smoothd shard loop and the simulator's `Server → Link → Client`
+//! pipeline.
 //!
 //! A counting global allocator wraps the system allocator; after a
 //! warmup phase lets every scratch vector, ring, and queue reach its
@@ -7,19 +8,25 @@
 //! must perform **zero** heap allocations and free nothing — the same
 //! style as the PR 4 hot-path bound, but over the whole serving loop
 //! (fair grants, server steps, link delivery, playout rings) instead
-//! of one policy.
+//! of one policy. The pipeline test holds `Client::step_into` to the
+//! same bound.
 //!
-//! The test drives `Shard` directly on the test thread: the daemon's
-//! workers run exactly this loop. The counters are global, so the tests
-//! hold [`SERIAL`] for their whole body: the harness runs tests on
-//! parallel threads, and each would otherwise count the other's
-//! allocations.
+//! The tests drive `Shard` and the pipeline directly on the test
+//! thread: the daemon's workers and the sim engine run exactly these
+//! loops. The counters are global, so the tests hold [`SERIAL`] for
+//! their whole body: the harness runs tests on parallel threads, and
+//! each would otherwise count the other's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
+use rts_core::policy::TailDrop;
+use rts_core::{Client, ClientStep, SentChunk, Server, ServerStep};
+use rts_sim::{Link, LinkModel};
 use rts_smoothd::{AdmitRequest, Shard, WirePolicy};
+use rts_stream::rng::SplitMix64;
+use rts_stream::{FrameKind, InputStream, SliceSpec, Time};
 
 struct CountingAlloc;
 
@@ -138,6 +145,89 @@ fn assert_steady_state_allocation_free(link: u64, overbook: (u64, u64), warmup: 
         "sessions stalled: only {} bytes played",
         totals.played_bytes
     );
+}
+
+#[test]
+fn steady_state_client_pipeline_is_allocation_free() {
+    let _serial = serial();
+    // B = R·D and Bc = B: the client never drops (Lemmas 3.3/3.4).
+    let drops = assert_pipeline_allocation_free(4, 4);
+    assert_eq!(drops, 0, "a balanced client dropped {drops} slices");
+    // D = 1 < ⌈B/R⌉ = 4: bytes queued behind a burst miss their
+    // deadlines, so the client keeps discarding Late and Incomplete
+    // slices throughout the window.
+    let drops = assert_pipeline_allocation_free(4, 1);
+    assert!(
+        drops > 1_000,
+        "only {drops} client drops: the window is too easy"
+    );
+}
+
+/// Runs a bursty stream through `Server → Link → Client::step_into`
+/// with `B = 16`, `R = rate`, `Bc = B` and smoothing delay `delay`,
+/// warms up for 1 024 slots, then requires 20 000 slots without an
+/// allocation or a free. Returns the client drops inside the window.
+fn assert_pipeline_allocation_free(rate: u64, delay: Time) -> u64 {
+    const WARMUP: Time = 1_024;
+    const MEASURED_SLOTS: Time = 20_000;
+    let buffer = 16;
+    // Quiet slots of 0–2 small slices, and every 16th slot a burst of
+    // 8–12 that overflows the server buffer.
+    let mut rng = SplitMix64::new(14);
+    let frames: Vec<Vec<SliceSpec>> = (0..WARMUP + MEASURED_SLOTS)
+        .map(|t| {
+            let n = if t % 16 == 0 {
+                rng.range_u64(8, 12)
+            } else {
+                rng.range_u64(0, 2)
+            };
+            (0..n)
+                .map(|_| SliceSpec::new(rng.range_u64(1, 3), rng.range_u64(1, 12), FrameKind::P))
+                .collect()
+        })
+        .collect();
+    let stream = InputStream::from_frames(frames);
+
+    let mut server = Server::new(buffer, rate, TailDrop::new());
+    let mut link = Link::new(1);
+    let mut client = Client::new(buffer, delay, 1);
+    let mut sstep = ServerStep::default();
+    let mut cstep = ClientStep::default();
+    let mut delivered: Vec<SentChunk> = Vec::new();
+    let (mut played, mut drops) = (0u64, 0u64);
+    let mut window_start = snapshot();
+    for (t, frame) in stream.frames().iter().enumerate() {
+        let t = t as Time;
+        if t == WARMUP {
+            window_start = snapshot();
+        }
+        server.step_into(t, &frame.slices, &mut sstep);
+        link.submit(&sstep.sent);
+        delivered.clear();
+        link.deliver_into(t, &mut delivered);
+        client.step_into(t, &delivered, &mut cstep);
+        if t >= WARMUP {
+            played += cstep.played.len() as u64;
+            drops += cstep.dropped.len() as u64;
+        }
+    }
+    let (a0, d0) = window_start;
+    let (a1, d1) = snapshot();
+
+    assert_eq!(
+        a1 - a0,
+        0,
+        "steady-state client pipeline (D = {delay}) allocated {} time(s) over {MEASURED_SLOTS} slots",
+        a1 - a0
+    );
+    assert_eq!(
+        d1 - d0,
+        0,
+        "steady-state client pipeline (D = {delay}) freed {} time(s) over {MEASURED_SLOTS} slots",
+        d1 - d0
+    );
+    assert!(played > MEASURED_SLOTS / 2, "only {played} slices played");
+    drops
 }
 
 #[test]
