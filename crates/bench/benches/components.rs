@@ -51,8 +51,8 @@ fn main() {
             policy.on_admit(seq, &s);
             while buf.occupancy() > 64 {
                 let victim = policy.next_victim(&buf).expect("droppable");
-                buf.drop_slice(victim);
-                policy.on_remove(victim);
+                let slice = buf.drop_slice(victim);
+                policy.on_remove(victim, &slice);
                 dropped += 1;
             }
         }
@@ -82,14 +82,14 @@ fn main() {
         bb(optimal_frame_benefit(&by_frame, buffer, rate).unwrap())
     });
 
-    // Ablation: the lazy-heap greedy index vs. the O(n)-per-victim rescan
-    // baseline (identical schedules; the heap is the design choice
-    // DESIGN.md calls out).
+    // Ablation: the per-byte-value greedy index vs. the O(n)-per-victim
+    // rescan baseline (identical schedules; the index is the design
+    // choice DESIGN.md calls out).
     let trace = MpegSource::new(MpegConfig::cnn_like(), 13).frames(250);
     let stream = trace.materialize(Slicing::PerByte, WeightAssignment::MPEG_12_8_1);
     let rate = (trace.average_rate().round() as u64).max(1);
     let small = trace.max_frame_bytes(); // small buffer → many drops
-    h.bench("greedy_index_ablation/lazy_heap", || {
+    h.bench("greedy_index_ablation/class_index", || {
         bb(run_server_only(&stream, small, rate, GreedyByteValue::new()).benefit)
     });
     h.bench("greedy_index_ablation/full_rescan", || {

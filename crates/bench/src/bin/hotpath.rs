@@ -14,9 +14,10 @@
 //! ```
 //!
 //! `--check` also enforces the ablation ratios: the committed baseline
-//! must record ring-vs-map >= 1.5 and the fresh run >= 1.3 (the looser
-//! live bound absorbs machine noise; the ratios are relative, so they
-//! are stable across machine speeds). It caps the smoothd
+//! must record the server ring-vs-map ratio (the map-backed reference
+//! server of `rts-check` over the product server) >= 1.5 and the fresh
+//! run >= 1.3 (the looser live bound absorbs machine noise; the ratios
+//! are relative, so they are stable across machine speeds). It caps the smoothd
 //! telemetry-on/off overhead ratio at 1.5x (the lock-free instruments
 //! must stay close to free on the slot hot path), and it keeps the
 //! offline fast paths fast: chain-vs-generic >= 5x in the baseline /
@@ -97,8 +98,8 @@ fn report(suite: &hotpath::Suite) {
         );
     }
     println!(
-        "  simulate ring-vs-map ratio: {:.2}x",
-        suite.ratio_simulate_ring_vs_map
+        "  server ring-vs-map ratio: {:.2}x",
+        suite.ratio_server_ring_vs_map
     );
     println!(
         "  smoothd telemetry on-vs-off ratio: {:.2}x",
@@ -159,7 +160,7 @@ fn run_check(baseline_path: &str) -> ExitCode {
     }
     if base_ratio < BASELINE_RATIO_FLOOR {
         eprintln!(
-            "check: baseline ring-vs-map ratio {base_ratio:.2}x < required {BASELINE_RATIO_FLOOR}x"
+            "check: baseline server ring-vs-map ratio {base_ratio:.2}x < required {BASELINE_RATIO_FLOOR}x"
         );
         return ExitCode::FAILURE;
     }
@@ -216,10 +217,10 @@ fn run_check(baseline_path: &str) -> ExitCode {
             failed = true;
         }
     }
-    if suite.ratio_simulate_ring_vs_map < LIVE_RATIO_FLOOR {
+    if suite.ratio_server_ring_vs_map < LIVE_RATIO_FLOOR {
         eprintln!(
-            "  REGRESSION ring-vs-map ratio {:.2}x < floor {LIVE_RATIO_FLOOR}x",
-            suite.ratio_simulate_ring_vs_map
+            "  REGRESSION server ring-vs-map ratio {:.2}x < floor {LIVE_RATIO_FLOOR}x",
+            suite.ratio_server_ring_vs_map
         );
         failed = true;
     }

@@ -4,7 +4,8 @@
 //! workload for the three pipelines the repo exercises most — the
 //! single-session engine ([`rts_sim::simulate`]), the shared-link
 //! multiplexer, and the offline-optimal DPs — plus a ring-vs-map
-//! server-buffer ablation on the simulate pipeline. Timings are
+//! server ablation: the product server ([`run_server_only`]) against
+//! the map-backed reference server of `rts-check`. Timings are
 //! median-of-N whole-run measurements, deliberately coarse: the suite
 //! exists to catch order-of-magnitude regressions and to pin the
 //! ring-buffer speedup, not to do criterion-grade statistics.
@@ -17,16 +18,17 @@
 use std::hint::black_box;
 use std::time::Instant;
 
+use rts_check::reference_server::{Lockstep, ReferencePolicy, ReferenceServer};
 use rts_core::policy::{GreedyByteValue, TailDrop};
 use rts_core::tradeoff::SmoothingParams;
-use rts_core::{BufferBacking, DropPolicy};
+use rts_core::{DropPolicy, ServerStep};
 use rts_mux::{Mux, SessionSpec, WeightedFair};
-use rts_sim::{simulate, SimConfig};
+use rts_sim::{run_server_only, simulate, SimConfig};
 use rts_smoothd::{AdmitRequest, Shard, WirePolicy};
 use rts_telemetry::ShardTelemetry;
 use rts_stream::slicing::Slicing;
 use rts_stream::weight::WeightAssignment;
-use rts_stream::InputStream;
+use rts_stream::{Bytes, InputStream};
 
 use crate::workload;
 
@@ -58,9 +60,9 @@ pub struct Suite {
     pub frames: usize,
     /// Per-benchmark timings, in execution order.
     pub timings: Vec<Timing>,
-    /// Simulate-pipeline ablation: map-backed median over ring-backed
-    /// median (>1 means the ring is faster).
-    pub ratio_simulate_ring_vs_map: f64,
+    /// Server ablation: the map-backed reference server's median over
+    /// the product ring server's median (>1 means the ring is faster).
+    pub ratio_server_ring_vs_map: f64,
     /// Daemon-shard ablation: telemetry-instrumented median over the
     /// bare slot loop (1.0 = free; the gate caps how far above 1 the
     /// lock-free instrumentation may drift).
@@ -100,17 +102,34 @@ fn simulate_bench<P: DropPolicy, F: Fn() -> P>(
     name: &str,
     stream: &InputStream,
     params: SmoothingParams,
-    backing: BufferBacking,
     runs: usize,
     make_policy: F,
 ) -> Timing {
     time_runs(name, stream.slice_count() as u64, runs, || {
-        simulate(
-            stream,
-            SimConfig::new(params).with_backing(backing),
-            make_policy(),
-        )
+        simulate(stream, SimConfig::new(params), make_policy())
     })
+}
+
+/// Drives the map-backed Tail-Drop reference server over `stream` until
+/// it drains, as [`run_server_only`] drives the product server, and
+/// returns the bytes it sent.
+fn reference_server_run(stream: &InputStream, buffer: Bytes, rate: Bytes) -> Bytes {
+    let mut server = ReferenceServer::new(buffer, rate, ReferencePolicy::Tail);
+    let mut step = ServerStep::default();
+    let mut frames = stream.frames().iter().peekable();
+    let mut sent = 0;
+    for t in 0.. {
+        let arrivals: &[_] = match frames.next_if(|f| f.time == t) {
+            Some(f) => &f.slices,
+            None => &[],
+        };
+        let drained = server.step_slot(t, arrivals, &mut step);
+        sent += step.sent_bytes();
+        if drained && frames.peek().is_none() {
+            break;
+        }
+    }
+    sent
 }
 
 /// One smoothd shard run: 32 CBR sessions stepped to retirement.
@@ -189,33 +208,33 @@ pub fn run(smoke: bool) -> Suite {
 
     let mut timings = Vec::new();
 
-    // Simulate pipeline: ring vs map ablation (Tail-Drop keeps the
-    // measured difference purely in the buffer store), plus the paper's
-    // Greedy policy on the fast path.
-    let ring = simulate_bench(
-        "simulate/ring",
-        &by_byte,
-        params,
-        BufferBacking::Ring,
-        runs,
-        TailDrop::new,
-    );
-    let map = simulate_bench(
-        "simulate/map",
-        &by_byte,
-        params,
-        BufferBacking::Map,
-        runs,
-        TailDrop::new,
-    );
+    // Server ablation: the product ring server vs the map-backed
+    // reference server on the same stream and parameters (Tail-Drop
+    // keeps the victim rule trivial, so the difference is the store and
+    // the step around it).
+    let slices = by_byte.slice_count() as u64;
+    let ring = time_runs("server/ring", slices, runs, || {
+        run_server_only(&by_byte, params.buffer, params.rate, TailDrop::new())
+    });
+    let map = time_runs("server/map-reference", slices, runs, || {
+        reference_server_run(&by_byte, params.buffer, params.rate)
+    });
     let ratio = map.median_ns as f64 / ring.median_ns as f64;
     timings.push(ring);
     timings.push(map);
+
+    // Simulate pipeline on Tail-Drop and the paper's Greedy policy.
+    timings.push(simulate_bench(
+        "simulate/ring",
+        &by_byte,
+        params,
+        runs,
+        TailDrop::new,
+    ));
     timings.push(simulate_bench(
         "simulate/greedy-ring",
         &by_byte,
         params,
-        BufferBacking::Ring,
         runs,
         GreedyByteValue::new,
     ));
@@ -223,7 +242,6 @@ pub fn run(smoke: bool) -> Suite {
         "simulate/frame-ring",
         &by_frame,
         params,
-        BufferBacking::Ring,
         runs,
         TailDrop::new,
     ));
@@ -341,7 +359,7 @@ pub fn run(smoke: bool) -> Suite {
         seed: workload::SEED,
         frames,
         timings,
-        ratio_simulate_ring_vs_map: ratio,
+        ratio_server_ring_vs_map: ratio,
         ratio_smoothd_telemetry_on_vs_off: telemetry_ratio,
         ratio_offline_chain_vs_generic: chain_ratio,
         ratio_offline_warm_vs_cold: warm_ratio,
@@ -359,8 +377,8 @@ impl Suite {
         s.push_str(&format!("  \"seed\": {},\n", self.seed));
         s.push_str(&format!("  \"frames\": {},\n", self.frames));
         s.push_str(&format!(
-            "  \"ratio_simulate_ring_vs_map\": {:.4},\n",
-            self.ratio_simulate_ring_vs_map
+            "  \"ratio_server_ring_vs_map\": {:.4},\n",
+            self.ratio_server_ring_vs_map
         ));
         s.push_str(&format!(
             "  \"ratio_smoothd_telemetry_on_vs_off\": {:.4},\n",
@@ -434,9 +452,9 @@ fn extract_named_ratio(json: &str, key: &str) -> Option<f64> {
         .ok()
 }
 
-/// Extracts the recorded ring-vs-map ratio from a suite JSON.
+/// Extracts the recorded server ring-vs-map ratio from a suite JSON.
 pub fn extract_ratio(json: &str) -> Option<f64> {
-    extract_named_ratio(json, "ratio_simulate_ring_vs_map")
+    extract_named_ratio(json, "ratio_server_ring_vs_map")
 }
 
 /// Extracts the recorded telemetry on-vs-off overhead ratio from a
@@ -476,7 +494,7 @@ mod tests {
             frames: 2,
             timings: vec![
                 Timing {
-                    name: "simulate/ring".into(),
+                    name: "server/ring".into(),
                     runs: 3,
                     median_ns: 1_000,
                     best_ns: 900,
@@ -484,7 +502,7 @@ mod tests {
                     slices_per_sec: 5.0e7,
                 },
                 Timing {
-                    name: "simulate/map".into(),
+                    name: "server/map-reference".into(),
                     runs: 3,
                     median_ns: 1_700,
                     best_ns: 1_600,
@@ -492,7 +510,7 @@ mod tests {
                     slices_per_sec: 2.9e7,
                 },
             ],
-            ratio_simulate_ring_vs_map: 1.7,
+            ratio_server_ring_vs_map: 1.7,
             ratio_smoothd_telemetry_on_vs_off: 1.05,
             ratio_offline_chain_vs_generic: 25.0,
             ratio_offline_warm_vs_cold: 18.5,
@@ -506,8 +524,8 @@ mod tests {
         assert_eq!(
             medians,
             vec![
-                ("simulate/ring".to_string(), 1_000),
-                ("simulate/map".to_string(), 1_700),
+                ("server/ring".to_string(), 1_000),
+                ("server/map-reference".to_string(), 1_700),
             ]
         );
         assert_eq!(extract_ratio(&json), Some(1.7));
@@ -544,8 +562,9 @@ mod tests {
         assert_eq!(
             names,
             vec![
+                "server/ring",
+                "server/map-reference",
                 "simulate/ring",
-                "simulate/map",
                 "simulate/greedy-ring",
                 "simulate/frame-ring",
                 "mux/wfq-4",
@@ -559,12 +578,12 @@ mod tests {
                 "smoothd/telemetry-on",
             ]
         );
-        assert!(suite.ratio_simulate_ring_vs_map > 0.0);
+        assert!(suite.ratio_server_ring_vs_map > 0.0);
         assert!(suite.ratio_smoothd_telemetry_on_vs_off > 0.0);
         assert!(suite.ratio_offline_chain_vs_generic > 0.0);
         assert!(suite.ratio_offline_warm_vs_cold > 0.0);
         let json = suite.to_json();
-        assert_eq!(extract_medians(&json).map(|m| m.len()), Some(13));
+        assert_eq!(extract_medians(&json).map(|m| m.len()), Some(14));
     }
 
     #[test]

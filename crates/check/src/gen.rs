@@ -160,6 +160,27 @@ impl StreamCase {
         StreamCase { frames }
     }
 
+    /// Draws a stream whose slices fall into a few byte-value classes:
+    /// each slice weighs its size times a per-byte value drawn from
+    /// `{0, 1, 8, 12}`, so equal byte values recur across different
+    /// slice sizes (2/2 and 1/1, 24/2 and 12/1, every weight-0 slice).
+    pub fn gen_value_classes(rng: &mut SplitMix64, profile: &GenProfile) -> StreamCase {
+        const PER_BYTE: [u64; 4] = [0, 1, 8, 12];
+        let steps = rng.range_u64(1, profile.max_frames);
+        let frames = (0..steps)
+            .map(|_| {
+                (0..rng.range_u64(0, profile.max_per_frame))
+                    .map(|_| {
+                        let size = rng.range_u64(1, profile.max_size);
+                        let value = PER_BYTE[rng.range_u64(0, 3) as usize];
+                        SliceSpec::new(size, value * size, gen_kind(rng))
+                    })
+                    .collect()
+            })
+            .collect();
+        StreamCase { frames }
+    }
+
     /// Materializes the real stream (frame `i` at time `i`).
     pub fn stream(&self) -> InputStream {
         InputStream::from_frames(self.frames.clone())

@@ -14,6 +14,10 @@
 //!   executable predicates; [`oracles`] binds paired implementations
 //!   (fast vs reference, composed vs parts, clever vs exhaustive) to
 //!   exact agreement.
+//! * [`reference_server`] — a map-backed counterpart of the product
+//!   server, the test-only reference that the `ring-vs-map` oracle,
+//!   `tests/buffer_diff.rs` and the hotpath ablation step against the
+//!   product.
 //!
 //! Every run is a pure function of `(cases, seed)`, so CI, the
 //! `smoothctl check` subcommand, and a developer shell all see the same
@@ -26,6 +30,7 @@ pub mod invariants;
 pub mod offline;
 pub mod oracles;
 mod reference_client;
+pub mod reference_server;
 pub mod smoothd;
 pub mod telemetry;
 

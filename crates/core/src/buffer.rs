@@ -5,26 +5,21 @@
 //! slice cannot be dropped after it starts being transmitted" (no
 //! preemption). Transmission is strictly FIFO in arrival order.
 //!
-//! The buffer is keyed by a monotone admission sequence number [`Seq`].
-//! Two interchangeable backings implement the store:
+//! The buffer is keyed by a monotone admission sequence number [`Seq`]
+//! and stored in a `VecDeque` FIFO ring in `Seq` order. Admission,
+//! head/tail access, and transmission are O(1); a mid-queue drop
+//! tombstones its entry in place and the ring compacts only when
+//! tombstones outnumber live slices, so drops are amortized O(1).
+//! Sequence lookup is O(1) while the ring is gap-free (one slot per
+//! `Seq`, the common case) and O(log n) by binary search after a
+//! compaction introduces gaps.
 //!
-//! * [`BufferBacking::Ring`] (the default) — a `VecDeque` FIFO ring in
-//!   `Seq` order. Admission, head/tail access, and transmission are
-//!   O(1); a mid-queue drop tombstones its entry in place and the ring
-//!   compacts only when tombstones outnumber live slices, so drops are
-//!   amortized O(1). Sequence lookup is O(1) while the ring is gap-free
-//!   (one slot per `Seq`, the common case) and O(log n) by binary
-//!   search after a compaction introduces gaps.
-//! * [`BufferBacking::Map`] — the original `BTreeMap` implementation,
-//!   O(log n) per operation. Kept as the differential-testing reference
-//!   and as the ablation baseline of the `hotpath` benchmark; the
-//!   `slow-buffer` cargo feature makes it the default backing so the
-//!   whole test suite can be replayed against it.
-//!
-//! Both backings produce bit-identical schedules; `tests/buffer_diff.rs`
-//! proves this end to end for every drop policy.
+//! A `BTreeMap` store is kept as the test-only reference in `rts-check`
+//! (`reference_server`): the `ring-vs-map` oracle and
+//! `tests/buffer_diff.rs` step this buffer's server and the map-backed
+//! reference side by side and require identical steps every slot.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 use rts_stream::{Bytes, Slice};
@@ -68,28 +63,6 @@ impl BufferedSlice {
     }
 }
 
-/// Which data structure backs a [`ServerBuffer`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum BufferBacking {
-    /// `VecDeque` FIFO ring with tombstoned mid-queue drops: O(1)
-    /// admit/head/tail/transmit, amortized O(1) drop. The default.
-    #[default]
-    Ring,
-    /// `BTreeMap` keyed by [`Seq`]: O(log n) everywhere. The
-    /// differential-testing reference implementation.
-    Map,
-}
-
-impl BufferBacking {
-    /// Display name ("ring" / "map") used in benchmark reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            BufferBacking::Ring => "ring",
-            BufferBacking::Map => "map",
-        }
-    }
-}
-
 /// One ring slot: a buffered slice plus its tombstone flag. Dead entries
 /// keep their `Seq` so the ring stays sorted for binary search.
 #[derive(Debug, Clone, Copy)]
@@ -98,26 +71,84 @@ struct RingEntry {
     dead: bool,
 }
 
-/// The ring backing. Invariants:
+/// The server's pushout FIFO buffer.
 ///
-/// * entries are strictly increasing in `Seq` (admission order);
+/// Invariants maintained:
+/// * at most one slice (the FIFO head) has partial transmission progress;
+/// * [`occupancy`](Self::occupancy) always equals the sum of
+///   [`BufferedSlice::remaining`] over all stored slices;
+/// * a partially transmitted slice cannot be dropped;
+/// * ring entries are strictly increasing in `Seq` (admission order);
 /// * the front and back entries are always alive (trimmed on removal),
 ///   so `head`/`tail`/`transmit` never scan tombstones;
 /// * `dead` counts tombstoned entries; compaction runs when they
 ///   outnumber live entries, keeping scans amortized O(1).
 #[derive(Debug, Clone, Default)]
-struct RingStore {
+pub struct ServerBuffer {
     entries: VecDeque<RingEntry>,
     dead: usize,
+    occupancy: Bytes,
+    next_seq: u64,
 }
 
-impl RingStore {
+impl ServerBuffer {
+    /// Creates an empty buffer.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Current occupancy in bytes (`|Bs(t)|` in the paper).
     #[inline]
-    fn live_len(&self) -> usize {
+    pub fn occupancy(&self) -> Bytes {
+        self.occupancy
+    }
+
+    /// Number of stored slices.
+    #[inline]
+    pub fn len(&self) -> usize {
         self.entries.len() - self.dead
     }
 
-    /// Index of `seq` in `entries`, dead or alive. O(1) while the ring
+    /// Whether the buffer holds no slices.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Admits a slice, assigning it the next sequence number.
+    pub fn admit(&mut self, slice: Slice) -> Seq {
+        let seq = Seq(self.next_seq);
+        self.next_seq += 1;
+        self.occupancy += slice.size;
+        let buf = BufferedSlice {
+            seq,
+            slice,
+            sent: 0,
+        };
+        self.entries.push_back(RingEntry { buf, dead: false });
+        seq
+    }
+
+    /// Admits a slice that already has `sent` of its bytes on the
+    /// wire — the restore path for checkpointed buffers. Only a FIFO
+    /// head can be mid-transmission, so `sent > 0` requires an empty
+    /// buffer; occupancy counts the unsent remainder, as
+    /// [`transmit_into`](Self::transmit_into) would have left it.
+    pub fn admit_in_progress(&mut self, slice: Slice, sent: Bytes) -> Seq {
+        debug_assert!(
+            sent == 0 || self.is_empty(),
+            "only the restored head may carry transmission progress"
+        );
+        debug_assert!(sent < slice.size, "a fully sent slice has left the buffer");
+        let seq = self.admit(slice);
+        if sent > 0 {
+            self.occupancy -= sent;
+            self.entries.back_mut().expect("just admitted").buf.sent = sent;
+        }
+        seq
+    }
+
+    /// Index of `seq` in the ring, dead or alive. O(1) while the ring
     /// has one slot per sequence number (no compaction gaps yet),
     /// O(log n) by binary search otherwise.
     #[inline]
@@ -132,20 +163,94 @@ impl RingStore {
             // Gap-free: sequence numbers map straight to indices.
             return Some((seq.0 - first.0) as usize);
         }
-        self.entries
-            .binary_search_by(|e| e.buf.seq.cmp(&seq))
-            .ok()
+        self.entries.binary_search_by(|e| e.buf.seq.cmp(&seq)).ok()
     }
 
     /// Index of `seq` only if the entry is alive.
     #[inline]
     fn live_position(&self, seq: Seq) -> Option<usize> {
-        let i = self.position(seq)?;
-        if self.entries[i].dead {
-            None
+        self.position(seq).filter(|&i| !self.entries[i].dead)
+    }
+
+    /// Looks up a stored slice.
+    pub fn get(&self, seq: Seq) -> Option<&BufferedSlice> {
+        self.live_position(seq).map(|i| &self.entries[i].buf)
+    }
+
+    /// Whether `seq` is still stored.
+    #[inline]
+    pub fn contains(&self, seq: Seq) -> bool {
+        self.live_position(seq).is_some()
+    }
+
+    /// The FIFO head (next slice to transmit from).
+    #[inline]
+    pub fn head(&self) -> Option<&BufferedSlice> {
+        // Invariant: the front entry is never a tombstone.
+        self.entries.front().map(|e| &e.buf)
+    }
+
+    /// The FIFO tail (most recently admitted stored slice).
+    #[inline]
+    pub fn tail(&self) -> Option<&BufferedSlice> {
+        // Invariant: the back entry is never a tombstone.
+        self.entries.back().map(|e| &e.buf)
+    }
+
+    /// The sequence number of the slice currently in transmission, if the
+    /// head has partial progress. Such a slice must not be dropped.
+    #[inline]
+    pub fn protected(&self) -> Option<Seq> {
+        self.head().filter(|b| b.in_transmission()).map(|b| b.seq)
+    }
+
+    /// Iterates over stored slices in FIFO order.
+    pub fn iter(&self) -> Iter<'_> {
+        Iter(self.entries.iter())
+    }
+
+    /// Removes a slice by sequence number (an overflow or early drop).
+    ///
+    /// Returns the removed slice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `seq` is not stored or if the slice is already in
+    /// transmission — callers (the server) must only drop victims
+    /// returned by a [`DropPolicy`](crate::DropPolicy), which are
+    /// guaranteed droppable; violating this is a programming error, not a
+    /// recoverable condition.
+    pub fn drop_slice(&mut self, seq: Seq) -> Slice {
+        let i = self
+            .live_position(seq)
+            .unwrap_or_else(|| panic!("drop of {seq} which is not stored"));
+        assert!(
+            !self.entries[i].buf.in_transmission(),
+            "attempt to preempt {seq} after transmission started"
+        );
+        let slice = if i == 0 {
+            let e = self.entries.pop_front().expect("checked stored");
+            self.trim_front();
+            e.buf.slice
+        } else if i == self.entries.len() - 1 {
+            let e = self.entries.pop_back().expect("checked stored");
+            self.trim_back();
+            e.buf.slice
         } else {
-            Some(i)
-        }
+            let e = &mut self.entries[i];
+            e.dead = true;
+            let slice = e.buf.slice;
+            self.dead += 1;
+            // Each compaction pays for the drops that queued it, so
+            // drops stay amortized O(1).
+            if self.dead > self.len() {
+                self.entries.retain(|e| !e.dead);
+                self.dead = 0;
+            }
+            slice
+        };
+        self.occupancy -= slice.size;
+        slice
     }
 
     /// Restores the front-alive invariant after a front removal.
@@ -164,247 +269,6 @@ impl RingStore {
             self.entries.pop_back();
             self.dead -= 1;
         }
-    }
-
-    /// Drops tombstones once they outnumber live entries; amortized O(1)
-    /// per drop since each compaction pays for the drops that queued it.
-    #[inline]
-    fn maybe_compact(&mut self) {
-        if self.dead > self.live_len() {
-            self.entries.retain(|e| !e.dead);
-            self.dead = 0;
-        }
-    }
-
-    /// Removes the entry holding `seq`. The caller has already verified
-    /// it is stored and alive at index `i`.
-    fn remove_at(&mut self, i: usize) -> BufferedSlice {
-        if i == 0 {
-            let e = self.entries.pop_front().expect("checked stored");
-            self.trim_front();
-            e.buf
-        } else if i == self.entries.len() - 1 {
-            let e = self.entries.pop_back().expect("checked stored");
-            self.trim_back();
-            e.buf
-        } else {
-            let e = &mut self.entries[i];
-            e.dead = true;
-            let buf = e.buf;
-            self.dead += 1;
-            self.maybe_compact();
-            buf
-        }
-    }
-}
-
-/// The store behind a [`ServerBuffer`]: both variants are always
-/// compiled, selected at runtime, so one binary can differential-test
-/// and ablation-benchmark ring against map.
-#[derive(Debug, Clone)]
-enum Store {
-    Ring(RingStore),
-    Map(BTreeMap<Seq, BufferedSlice>),
-}
-
-/// The server's pushout FIFO buffer.
-///
-/// Invariants maintained:
-/// * at most one slice (the FIFO head) has partial transmission progress;
-/// * [`occupancy`](Self::occupancy) always equals the sum of
-///   [`BufferedSlice::remaining`] over all stored slices;
-/// * a partially transmitted slice cannot be dropped.
-#[derive(Debug, Clone)]
-pub struct ServerBuffer {
-    store: Store,
-    occupancy: Bytes,
-    next_seq: u64,
-}
-
-impl Default for ServerBuffer {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ServerBuffer {
-    /// Creates an empty buffer with the default backing
-    /// ([`BufferBacking::Ring`], or [`BufferBacking::Map`] when the
-    /// `slow-buffer` feature is enabled).
-    pub fn new() -> Self {
-        if cfg!(feature = "slow-buffer") {
-            Self::with_backing(BufferBacking::Map)
-        } else {
-            Self::with_backing(BufferBacking::Ring)
-        }
-    }
-
-    /// Creates an empty buffer on an explicit backing.
-    pub fn with_backing(backing: BufferBacking) -> Self {
-        let store = match backing {
-            BufferBacking::Ring => Store::Ring(RingStore::default()),
-            BufferBacking::Map => Store::Map(BTreeMap::new()),
-        };
-        ServerBuffer {
-            store,
-            occupancy: 0,
-            next_seq: 0,
-        }
-    }
-
-    /// The backing this buffer runs on.
-    pub fn backing(&self) -> BufferBacking {
-        match self.store {
-            Store::Ring(_) => BufferBacking::Ring,
-            Store::Map(_) => BufferBacking::Map,
-        }
-    }
-
-    /// Current occupancy in bytes (`|Bs(t)|` in the paper).
-    #[inline]
-    pub fn occupancy(&self) -> Bytes {
-        self.occupancy
-    }
-
-    /// Number of stored slices.
-    pub fn len(&self) -> usize {
-        match &self.store {
-            Store::Ring(r) => r.live_len(),
-            Store::Map(m) => m.len(),
-        }
-    }
-
-    /// Whether the buffer holds no slices.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Admits a slice, assigning it the next sequence number.
-    pub fn admit(&mut self, slice: Slice) -> Seq {
-        let seq = Seq(self.next_seq);
-        self.next_seq += 1;
-        self.occupancy += slice.size;
-        let buf = BufferedSlice {
-            seq,
-            slice,
-            sent: 0,
-        };
-        match &mut self.store {
-            Store::Ring(r) => r.entries.push_back(RingEntry { buf, dead: false }),
-            Store::Map(m) => {
-                let prev = m.insert(seq, buf);
-                debug_assert!(prev.is_none(), "sequence numbers are unique");
-            }
-        }
-        seq
-    }
-
-    /// Admits a slice that already has `sent` of its bytes on the
-    /// wire — the restore path for checkpointed buffers. Only a FIFO
-    /// head can be mid-transmission, so `sent > 0` requires an empty
-    /// buffer; occupancy counts the unsent remainder, as
-    /// [`transmit_into`](Self::transmit_into) would have left it.
-    pub fn admit_in_progress(&mut self, slice: Slice, sent: Bytes) -> Seq {
-        debug_assert!(
-            sent == 0 || self.is_empty(),
-            "only the restored head may carry transmission progress"
-        );
-        debug_assert!(sent < slice.size, "a fully sent slice has left the buffer");
-        let seq = self.admit(slice);
-        if sent > 0 {
-            self.occupancy -= sent;
-            match &mut self.store {
-                Store::Ring(r) => r.entries.back_mut().expect("just admitted").buf.sent = sent,
-                Store::Map(m) => m.get_mut(&seq).expect("just admitted").sent = sent,
-            }
-        }
-        seq
-    }
-
-    /// Looks up a stored slice.
-    pub fn get(&self, seq: Seq) -> Option<&BufferedSlice> {
-        match &self.store {
-            Store::Ring(r) => r.live_position(seq).map(|i| &r.entries[i].buf),
-            Store::Map(m) => m.get(&seq),
-        }
-    }
-
-    /// Whether `seq` is still stored.
-    pub fn contains(&self, seq: Seq) -> bool {
-        match &self.store {
-            Store::Ring(r) => r.live_position(seq).is_some(),
-            Store::Map(m) => m.contains_key(&seq),
-        }
-    }
-
-    /// The FIFO head (next slice to transmit from).
-    pub fn head(&self) -> Option<&BufferedSlice> {
-        match &self.store {
-            // Invariant: the front entry is never a tombstone.
-            Store::Ring(r) => r.entries.front().map(|e| &e.buf),
-            Store::Map(m) => m.values().next(),
-        }
-    }
-
-    /// The FIFO tail (most recently admitted stored slice).
-    pub fn tail(&self) -> Option<&BufferedSlice> {
-        match &self.store {
-            // Invariant: the back entry is never a tombstone.
-            Store::Ring(r) => r.entries.back().map(|e| &e.buf),
-            Store::Map(m) => m.values().next_back(),
-        }
-    }
-
-    /// The sequence number of the slice currently in transmission, if the
-    /// head has partial progress. Such a slice must not be dropped.
-    pub fn protected(&self) -> Option<Seq> {
-        self.head().filter(|b| b.in_transmission()).map(|b| b.seq)
-    }
-
-    /// Iterates over stored slices in FIFO order.
-    pub fn iter(&self) -> Iter<'_> {
-        Iter(match &self.store {
-            Store::Ring(r) => IterStore::Ring(r.entries.iter()),
-            Store::Map(m) => IterStore::Map(m.values()),
-        })
-    }
-
-    /// Removes a slice by sequence number (an overflow or early drop).
-    ///
-    /// Returns the removed slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seq` is not stored or if the slice is already in
-    /// transmission — callers (the server) must only drop victims
-    /// returned by a [`DropPolicy`](crate::DropPolicy), which are
-    /// guaranteed droppable; violating this is a programming error, not a
-    /// recoverable condition.
-    pub fn drop_slice(&mut self, seq: Seq) -> Slice {
-        let entry = match &mut self.store {
-            Store::Ring(r) => {
-                let i = r
-                    .live_position(seq)
-                    .unwrap_or_else(|| panic!("drop of {seq} which is not stored"));
-                assert!(
-                    !r.entries[i].buf.in_transmission(),
-                    "attempt to preempt {seq} after transmission started"
-                );
-                r.remove_at(i)
-            }
-            Store::Map(m) => {
-                let entry = m
-                    .remove(&seq)
-                    .unwrap_or_else(|| panic!("drop of {seq} which is not stored"));
-                assert!(
-                    !entry.in_transmission(),
-                    "attempt to preempt {seq} after transmission started"
-                );
-                entry
-            }
-        };
-        self.occupancy -= entry.slice.size;
-        entry.slice
     }
 
     /// Transmits up to `rate` bytes from the FIFO head, advancing partial
@@ -443,82 +307,50 @@ impl ServerBuffer {
         if budget == 0 {
             return None;
         }
-        let chunk = match &mut self.store {
-            Store::Ring(r) => {
-                // Invariant: the front entry, if any, is alive.
-                let entry = &mut r.entries.front_mut()?.buf;
-                let take = entry.remaining().min(budget);
-                entry.sent += take;
-                let completed = entry.remaining() == 0;
-                let chunk = (entry.seq, entry.slice, take, completed);
-                if completed {
-                    r.entries.pop_front();
-                    r.trim_front();
-                }
-                chunk
-            }
-            Store::Map(m) => {
-                let mut head = m.first_entry()?;
-                let entry = head.get_mut();
-                let take = entry.remaining().min(budget);
-                entry.sent += take;
-                let completed = entry.remaining() == 0;
-                let chunk = (entry.seq, entry.slice, take, completed);
-                if completed {
-                    head.remove();
-                }
-                chunk
-            }
-        };
-        self.occupancy -= chunk.2;
+        // Invariant: the front entry, if any, is alive.
+        let entry = &mut self.entries.front_mut()?.buf;
+        let take = entry.remaining().min(budget);
+        entry.sent += take;
+        let completed = entry.remaining() == 0;
+        let chunk = (entry.seq, entry.slice, take, completed);
+        if completed {
+            self.entries.pop_front();
+            self.trim_front();
+        }
+        self.occupancy -= take;
         Some(chunk)
     }
 
-    /// Number of tombstoned (dead) entries currently in the ring; always
-    /// 0 on the map backing. Exposed for the compaction tests and the
-    /// memory-regression assertions.
+    /// Number of tombstoned (dead) entries currently in the ring.
+    /// Exposed for the compaction tests and the memory-regression
+    /// assertions.
     #[doc(hidden)]
     pub fn tombstones(&self) -> usize {
-        match &self.store {
-            Store::Ring(r) => r.dead,
-            Store::Map(_) => 0,
-        }
+        self.dead
     }
-}
-
-enum IterStore<'a> {
-    Ring(std::collections::vec_deque::Iter<'a, RingEntry>),
-    Map(std::collections::btree_map::Values<'a, Seq, BufferedSlice>),
 }
 
 /// FIFO-order iterator over the stored slices of a [`ServerBuffer`];
 /// non-allocating (tombstones are skipped in place).
-pub struct Iter<'a>(IterStore<'a>);
+pub struct Iter<'a>(std::collections::vec_deque::Iter<'a, RingEntry>);
 
 impl<'a> Iterator for Iter<'a> {
     type Item = &'a BufferedSlice;
 
     fn next(&mut self) -> Option<&'a BufferedSlice> {
-        match &mut self.0 {
-            IterStore::Ring(it) => it.find(|e| !e.dead).map(|e| &e.buf),
-            IterStore::Map(it) => it.next(),
-        }
+        self.0.find(|e| !e.dead).map(|e| &e.buf)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        match &self.0 {
-            // Dead entries may deflate the lower bound to 0; the upper
-            // bound is exact enough for collect() preallocation.
-            IterStore::Ring(it) => (0, Some(it.len())),
-            IterStore::Map(it) => it.size_hint(),
-        }
+        // Dead entries may deflate the lower bound to 0; the upper
+        // bound is exact enough for collect() preallocation.
+        (0, Some(self.0.len()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rts_stream::rng::SplitMix64;
     use rts_stream::{FrameKind, SliceId};
 
     fn slice(id: u64, size: Bytes, weight: u64) -> Slice {
@@ -532,38 +364,31 @@ mod tests {
         }
     }
 
-    const BACKINGS: [BufferBacking; 2] = [BufferBacking::Ring, BufferBacking::Map];
-
     #[test]
     fn admit_tracks_occupancy_and_order() {
-        for backing in BACKINGS {
-            let mut b = ServerBuffer::with_backing(backing);
-            let s1 = b.admit(slice(0, 3, 1));
-            let s2 = b.admit(slice(1, 2, 1));
-            assert_eq!(b.occupancy(), 5);
-            assert_eq!(b.len(), 2);
-            assert!(s1 < s2);
-            assert_eq!(b.head().unwrap().seq, s1);
-            assert_eq!(b.tail().unwrap().seq, s2);
-            assert_eq!(b.backing(), backing);
-        }
+        let mut b = ServerBuffer::new();
+        let s1 = b.admit(slice(0, 3, 1));
+        let s2 = b.admit(slice(1, 2, 1));
+        assert_eq!(b.occupancy(), 5);
+        assert_eq!(b.len(), 2);
+        assert!(s1 < s2);
+        assert_eq!(b.head().unwrap().seq, s1);
+        assert_eq!(b.tail().unwrap().seq, s2);
     }
 
     #[test]
     fn transmit_follows_fifo_and_splits_across_slices() {
-        for backing in BACKINGS {
-            let mut b = ServerBuffer::with_backing(backing);
-            b.admit(slice(0, 3, 1));
-            b.admit(slice(1, 2, 1));
-            let sent = b.transmit(4);
-            assert_eq!(sent.len(), 2);
-            assert_eq!((sent[0].2, sent[0].3), (3, true));
-            assert_eq!((sent[1].2, sent[1].3), (1, false));
-            assert_eq!(b.occupancy(), 1);
-            // Second slice now protected (partially transmitted head).
-            let prot = b.protected().unwrap();
-            assert_eq!(b.get(prot).unwrap().remaining(), 1);
-        }
+        let mut b = ServerBuffer::new();
+        b.admit(slice(0, 3, 1));
+        b.admit(slice(1, 2, 1));
+        let sent = b.transmit(4);
+        assert_eq!(sent.len(), 2);
+        assert_eq!((sent[0].2, sent[0].3), (3, true));
+        assert_eq!((sent[1].2, sent[1].3), (1, false));
+        assert_eq!(b.occupancy(), 1);
+        // Second slice now protected (partially transmitted head).
+        let prot = b.protected().unwrap();
+        assert_eq!(b.get(prot).unwrap().remaining(), 1);
     }
 
     #[test]
@@ -600,38 +425,34 @@ mod tests {
 
     #[test]
     fn partial_transmission_completes_later() {
-        for backing in BACKINGS {
-            let mut b = ServerBuffer::with_backing(backing);
-            b.admit(slice(0, 5, 1));
-            let first = b.transmit(2);
-            assert_eq!((first[0].2, first[0].3), (2, false));
-            let second = b.transmit(2);
-            assert_eq!((second[0].2, second[0].3), (2, false));
-            let third = b.transmit(2);
-            assert_eq!((third[0].2, third[0].3), (1, true));
-            assert!(b.is_empty());
-            assert_eq!(b.protected(), None);
-        }
+        let mut b = ServerBuffer::new();
+        b.admit(slice(0, 5, 1));
+        let first = b.transmit(2);
+        assert_eq!((first[0].2, first[0].3), (2, false));
+        let second = b.transmit(2);
+        assert_eq!((second[0].2, second[0].3), (2, false));
+        let third = b.transmit(2);
+        assert_eq!((third[0].2, third[0].3), (1, true));
+        assert!(b.is_empty());
+        assert_eq!(b.protected(), None);
     }
 
     #[test]
     fn drop_mid_queue_slice() {
-        for backing in BACKINGS {
-            let mut b = ServerBuffer::with_backing(backing);
-            b.admit(slice(0, 1, 1));
-            let mid = b.admit(slice(1, 4, 9));
-            b.admit(slice(2, 1, 1));
-            let dropped = b.drop_slice(mid);
-            assert_eq!(dropped.id, SliceId(1));
-            assert_eq!(b.occupancy(), 2);
-            assert_eq!(b.len(), 2);
-            // FIFO order of survivors unchanged.
-            let ids: Vec<u64> = b.iter().map(|e| e.slice.id.0).collect();
-            assert_eq!(ids, vec![0, 2]);
-            // The tombstoned seq no longer resolves.
-            assert!(!b.contains(mid));
-            assert!(b.get(mid).is_none());
-        }
+        let mut b = ServerBuffer::new();
+        b.admit(slice(0, 1, 1));
+        let mid = b.admit(slice(1, 4, 9));
+        b.admit(slice(2, 1, 1));
+        let dropped = b.drop_slice(mid);
+        assert_eq!(dropped.id, SliceId(1));
+        assert_eq!(b.occupancy(), 2);
+        assert_eq!(b.len(), 2);
+        // FIFO order of survivors unchanged.
+        let ids: Vec<u64> = b.iter().map(|e| e.slice.id.0).collect();
+        assert_eq!(ids, vec![0, 2]);
+        // The tombstoned seq no longer resolves.
+        assert!(!b.contains(mid));
+        assert!(b.get(mid).is_none());
     }
 
     #[test]
@@ -644,16 +465,8 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "not stored")]
-    fn map_drop_of_unknown_seq_panics() {
-        let mut b = ServerBuffer::with_backing(BufferBacking::Map);
-        b.admit(slice(0, 1, 1));
-        b.drop_slice(Seq(99));
-    }
-
-    #[test]
-    #[should_panic(expected = "not stored")]
     fn drop_of_tombstoned_seq_panics() {
-        let mut b = ServerBuffer::with_backing(BufferBacking::Ring);
+        let mut b = ServerBuffer::new();
         b.admit(slice(0, 1, 1));
         let mid = b.admit(slice(1, 1, 1));
         b.admit(slice(2, 1, 1));
@@ -671,55 +484,40 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "preempt")]
-    fn map_drop_of_transmitting_slice_panics() {
-        let mut b = ServerBuffer::with_backing(BufferBacking::Map);
-        let s = b.admit(slice(0, 5, 1));
-        b.transmit(2); // partial
-        b.drop_slice(s);
-    }
-
-    #[test]
     fn protected_is_only_partial_head() {
-        for backing in BACKINGS {
-            let mut b = ServerBuffer::with_backing(backing);
-            b.admit(slice(0, 2, 1));
-            b.admit(slice(1, 2, 1));
-            assert_eq!(b.protected(), None);
-            b.transmit(2); // completes head exactly: nothing protected
-            assert_eq!(b.protected(), None);
-            b.transmit(1); // partial into second slice
-            assert!(b.protected().is_some());
-        }
+        let mut b = ServerBuffer::new();
+        b.admit(slice(0, 2, 1));
+        b.admit(slice(1, 2, 1));
+        assert_eq!(b.protected(), None);
+        b.transmit(2); // completes head exactly: nothing protected
+        assert_eq!(b.protected(), None);
+        b.transmit(1); // partial into second slice
+        assert!(b.protected().is_some());
     }
 
     #[test]
     fn seq_numbers_never_reused_after_drops() {
-        for backing in BACKINGS {
-            let mut b = ServerBuffer::with_backing(backing);
-            let a = b.admit(slice(0, 1, 1));
-            b.drop_slice(a);
-            let c = b.admit(slice(1, 1, 1));
-            assert!(c > a);
-        }
+        let mut b = ServerBuffer::new();
+        let a = b.admit(slice(0, 1, 1));
+        b.drop_slice(a);
+        let c = b.admit(slice(1, 1, 1));
+        assert!(c > a);
     }
 
     #[test]
     fn occupancy_is_sum_of_remaining() {
-        for backing in BACKINGS {
-            let mut b = ServerBuffer::with_backing(backing);
-            b.admit(slice(0, 4, 1));
-            b.admit(slice(1, 3, 1));
-            b.transmit(5);
-            let sum: Bytes = b.iter().map(|e| e.remaining()).sum();
-            assert_eq!(b.occupancy(), sum);
-            assert_eq!(sum, 2);
-        }
+        let mut b = ServerBuffer::new();
+        b.admit(slice(0, 4, 1));
+        b.admit(slice(1, 3, 1));
+        b.transmit(5);
+        let sum: Bytes = b.iter().map(|e| e.remaining()).sum();
+        assert_eq!(b.occupancy(), sum);
+        assert_eq!(sum, 2);
     }
 
     #[test]
     fn tombstones_compact_when_they_outnumber_live() {
-        let mut b = ServerBuffer::with_backing(BufferBacking::Ring);
+        let mut b = ServerBuffer::new();
         let seqs: Vec<Seq> = (0..8).map(|i| b.admit(slice(i, 1, 1))).collect();
         // Drop interior entries until the compaction threshold trips.
         b.drop_slice(seqs[1]);
@@ -738,7 +536,7 @@ mod tests {
     fn lookups_survive_compaction_gaps() {
         // After a compaction the ring has seq gaps, so position() must
         // fall back from arithmetic indexing to binary search.
-        let mut b = ServerBuffer::with_backing(BufferBacking::Ring);
+        let mut b = ServerBuffer::new();
         let seqs: Vec<Seq> = (0..9).map(|i| b.admit(slice(i, 1, 1))).collect();
         for &s in &[seqs[1], seqs[3], seqs[5], seqs[7], seqs[2]] {
             b.drop_slice(s);
@@ -757,7 +555,7 @@ mod tests {
 
     #[test]
     fn front_and_back_drops_trim_adjacent_tombstones() {
-        let mut b = ServerBuffer::with_backing(BufferBacking::Ring);
+        let mut b = ServerBuffer::new();
         let seqs: Vec<Seq> = (0..5).map(|i| b.admit(slice(i, 1, 1))).collect();
         b.drop_slice(seqs[1]); // tombstone behind the head
         b.drop_slice(seqs[0]); // head drop must also clear the tombstone
@@ -771,7 +569,7 @@ mod tests {
 
     #[test]
     fn transmit_completion_clears_following_tombstones() {
-        let mut b = ServerBuffer::with_backing(BufferBacking::Ring);
+        let mut b = ServerBuffer::new();
         let seqs: Vec<Seq> = (0..3).map(|i| b.admit(slice(i, 1, 1))).collect();
         b.drop_slice(seqs[1]);
         let sent = b.transmit(2);
@@ -779,58 +577,5 @@ mod tests {
         assert_eq!(ids, vec![0, 2], "tombstone skipped between heads");
         assert!(b.is_empty());
         assert_eq!(b.tombstones(), 0);
-    }
-
-    #[test]
-    fn ring_and_map_agree_on_random_operation_streams() {
-        // Differential fuzz at the buffer level: identical random
-        // admit/drop/transmit traffic must leave both backings in
-        // observably identical states after every operation.
-        let mut rng = SplitMix64::new(0x5eed_cafe);
-        let mut ring = ServerBuffer::with_backing(BufferBacking::Ring);
-        let mut map = ServerBuffer::with_backing(BufferBacking::Map);
-        let mut alive: Vec<Seq> = Vec::new();
-        let mut next_id = 0u64;
-        for _ in 0..4000 {
-            match rng.range_u64(0, 9) {
-                0..=3 => {
-                    let size = rng.range_u64(1, 6);
-                    let weight = rng.range_u64(1, 9);
-                    let s = slice(next_id, size, weight);
-                    next_id += 1;
-                    let a = ring.admit(s);
-                    let b = map.admit(s);
-                    assert_eq!(a, b);
-                    alive.push(a);
-                }
-                4..=6 => {
-                    if alive.is_empty() {
-                        continue;
-                    }
-                    let idx = rng.range_u64(0, alive.len() as u64 - 1) as usize;
-                    let victim = alive[idx];
-                    if ring.protected() == Some(victim) {
-                        continue;
-                    }
-                    alive.remove(idx);
-                    assert_eq!(ring.drop_slice(victim), map.drop_slice(victim));
-                }
-                _ => {
-                    let rate = rng.range_u64(0, 7);
-                    let a = ring.transmit(rate);
-                    let b = map.transmit(rate);
-                    assert_eq!(a, b);
-                    alive.retain(|s| ring.contains(*s));
-                }
-            }
-            assert_eq!(ring.occupancy(), map.occupancy());
-            assert_eq!(ring.len(), map.len());
-            assert_eq!(ring.head(), map.head());
-            assert_eq!(ring.tail(), map.tail());
-            assert_eq!(ring.protected(), map.protected());
-            let ra: Vec<_> = ring.iter().copied().collect();
-            let ma: Vec<_> = map.iter().copied().collect();
-            assert_eq!(ra, ma);
-        }
     }
 }

@@ -67,7 +67,7 @@ pub mod policy;
 mod server;
 pub mod tradeoff;
 
-pub use buffer::{BufferBacking, BufferedSlice, Seq, ServerBuffer};
+pub use buffer::{BufferedSlice, Seq, ServerBuffer};
 pub use client::{Client, ClientDrop, ClientDropReason, ClientStep, ClockDrift, ResyncPolicy};
 pub use policy::{
     DropPolicy, EarlyValueDrop, GreedyByteValue, GreedyRescan, HeadDrop, PlannedDrops, RandomDrop,

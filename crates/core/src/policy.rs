@@ -19,9 +19,14 @@
 //! [`Server`](crate::Server) repeatedly asks for one victim until the
 //! occupancy constraint is restored, which matches the paper's
 //! slice-at-a-time greedy rule.
+//!
+//! [`GreedyByteValue`] indexes the buffer by byte value with one FIFO
+//! deque per distinct value. The index is exact because the server
+//! transmits in FIFO order: the stored slices of one byte value only
+//! ever leave from their oldest end (a finished transmission of the
+//! FIFO head) or their newest end (Greedy's newest-first victims).
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
 use rts_stream::rng::SplitMix64;
 use rts_stream::{byte_value_cmp, Bytes, Slice, SliceId, Weight};
@@ -31,11 +36,11 @@ use crate::buffer::{Seq, ServerBuffer};
 /// A server drop policy.
 ///
 /// The server notifies the policy of every admission and removal so that
-/// policies can maintain indexes incrementally (Greedy keeps a lazy
-/// min-heap on byte value, giving O(log n) per event). When an overflow
-/// must be resolved, [`next_victim`](Self::next_victim) is called
-/// repeatedly; it must return a slice that is currently stored and not in
-/// transmission.
+/// policies can maintain indexes incrementally (Greedy keeps one deque
+/// per byte value, giving O(1) per event for a stream with few distinct
+/// byte values). When an overflow must be resolved,
+/// [`next_victim`](Self::next_victim) is called repeatedly; it must
+/// return a slice that is currently stored and not in transmission.
 pub trait DropPolicy {
     /// Short policy name used in reports ("Greedy", "Tail-Drop", …).
     fn name(&self) -> &'static str;
@@ -43,9 +48,10 @@ pub trait DropPolicy {
     /// Called when `slice` is admitted under sequence number `seq`.
     fn on_admit(&mut self, seq: Seq, slice: &Slice);
 
-    /// Called when the slice under `seq` leaves the buffer (fully sent or
-    /// dropped).
-    fn on_remove(&mut self, seq: Seq);
+    /// Called when `slice`, stored under `seq`, leaves the buffer: its
+    /// transmission completed, or it was dropped. Passing the slice
+    /// lets a policy find its index entry without a lookup table.
+    fn on_remove(&mut self, seq: Seq, slice: &Slice);
 
     /// Selects the next victim. Must return a sequence number that is
     /// stored in `buffer` and different from [`ServerBuffer::protected`],
@@ -64,15 +70,6 @@ pub trait DropPolicy {
         let _ = buffer;
         None
     }
-
-    /// Housekeeping hook called by the server once at the end of every
-    /// step, after transmission. Policies that keep lazy indexes use it
-    /// to bound their memory against the live buffer
-    /// ([`GreedyByteValue`] compacts its heap here); the default does
-    /// nothing. Must not change which victim the policy would select.
-    fn end_of_step(&mut self, buffer: &ServerBuffer) {
-        let _ = buffer;
-    }
 }
 
 /// Boxed policies delegate, so heterogeneous policy sets (one per
@@ -86,8 +83,8 @@ impl<P: DropPolicy + ?Sized> DropPolicy for Box<P> {
         (**self).on_admit(seq, slice)
     }
 
-    fn on_remove(&mut self, seq: Seq) {
-        (**self).on_remove(seq)
+    fn on_remove(&mut self, seq: Seq, slice: &Slice) {
+        (**self).on_remove(seq, slice)
     }
 
     fn next_victim(&mut self, buffer: &ServerBuffer) -> Option<Seq> {
@@ -96,10 +93,6 @@ impl<P: DropPolicy + ?Sized> DropPolicy for Box<P> {
 
     fn early_victim(&mut self, buffer: &ServerBuffer) -> Option<Seq> {
         (**self).early_victim(buffer)
-    }
-
-    fn end_of_step(&mut self, buffer: &ServerBuffer) {
-        (**self).end_of_step(buffer)
     }
 }
 
@@ -126,7 +119,7 @@ impl DropPolicy for TailDrop {
 
     fn on_admit(&mut self, _seq: Seq, _slice: &Slice) {}
 
-    fn on_remove(&mut self, _seq: Seq) {}
+    fn on_remove(&mut self, _seq: Seq, _slice: &Slice) {}
 
     fn next_victim(&mut self, buffer: &ServerBuffer) -> Option<Seq> {
         let protected = buffer.protected();
@@ -158,7 +151,7 @@ impl DropPolicy for HeadDrop {
 
     fn on_admit(&mut self, _seq: Seq, _slice: &Slice) {}
 
-    fn on_remove(&mut self, _seq: Seq) {}
+    fn on_remove(&mut self, _seq: Seq, _slice: &Slice) {}
 
     fn next_victim(&mut self, buffer: &ServerBuffer) -> Option<Seq> {
         let protected = buffer.protected();
@@ -169,56 +162,50 @@ impl DropPolicy for HeadDrop {
     }
 }
 
-/// Heap key for [`GreedyByteValue`]: orders by byte value ascending, with
-/// newest-first tie-breaking (ties may be "resolved arbitrarily" per the
-/// paper; newest-first is deterministic and keeps older data, which is
-/// closer to transmission).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct GreedyKey {
+/// One byte-value class of [`GreedyByteValue`]'s index: the stored
+/// slices whose byte value equals `weight / size`, oldest first.
+#[derive(Debug, Clone)]
+struct ValueClass {
+    /// Weight of the slice that opened the class.
     weight: Weight,
+    /// Size of the slice that opened the class. Every member's byte
+    /// value equals `weight / size` exactly (2/4 and 1/2 share a class).
     size: Bytes,
-    seq: Seq,
-}
-
-impl Ord for GreedyKey {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; we want the *lowest* byte value on
-        // top, so invert the value comparison. Among equal values, the
-        // newest (largest seq) is on top.
-        byte_value_cmp(other.weight, other.size, self.weight, self.size)
-            .then_with(|| self.seq.cmp(&other.seq))
-    }
-}
-
-impl PartialOrd for GreedyKey {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
+    /// Member sequence numbers in admission (= FIFO) order.
+    seqs: VecDeque<Seq>,
 }
 
 /// The greedy policy of Section 4.1: on overflow, discard the stored
-/// slice with the lowest byte value `w(s)/|s|`.
+/// slice with the lowest byte value `w(s)/|s|`, newest first among equal
+/// values (ties may be "resolved arbitrarily" per the paper; newest-first
+/// is deterministic and keeps older data, which is closer to
+/// transmission).
 ///
 /// Byte values are compared exactly (u128 cross-multiplication). The
 /// policy is `4B/(B − 2(Lmax − 1))`-competitive (Theorem 4.1) and no
 /// better than `2 − (2/(α+1) + 1/(B+1))`-competitive (Theorem 4.7).
 ///
-/// Internally a lazy min-heap: removals are not deleted eagerly; stale
-/// keys are skipped when popped, so the total cost over a run is
-/// O(n log n) in admitted slices. A stale counter tracks removals, and
-/// the heap is rebuilt against the live buffer whenever stale entries
-/// outnumber live ones ([`end_of_step`](DropPolicy::end_of_step)), so
-/// the heap stays O(buffer) even on long drop-free runs where
-/// [`next_victim`](DropPolicy::next_victim) — the lazy cleanup path —
-/// is never invoked.
+/// Internally a list of byte-value classes in increasing value, each a
+/// deque of its stored slices in admission order. The index is exact,
+/// with no stale entries, because every removal is at an end of its
+/// class:
+///
+/// * a finished transmission removes the FIFO head, the oldest stored
+///   slice, so it is the front of its class;
+/// * Greedy's victims (and [`EarlyValueDrop`]'s) are the back of their
+///   class, the newest slice of the lowest value;
+/// * the protected head is the back of its class only when it is the
+///   class's sole member, and the victim then comes from the next class.
+///
+/// A removal from the middle of a class breaks that contract and panics.
+/// Admission, removal and victim selection cost O(log k), O(log k) and
+/// O(k) for `k` distinct stored byte values — three for the Section 5
+/// MPEG weighting. Emptied classes stay in the list for reuse until, at
+/// the next class insertion, they outnumber the live ones.
 #[derive(Debug, Clone, Default)]
 pub struct GreedyByteValue {
-    heap: BinaryHeap<GreedyKey>,
-    /// Upper bound on the stale (already-removed) entries in `heap`. An
-    /// over-count is possible — `next_victim` permanently pops protected
-    /// entries whose later `on_remove` still increments this — which at
-    /// worst compacts a little early, never incorrectly.
-    stale: usize,
+    /// Classes in strictly increasing byte value.
+    classes: Vec<ValueClass>,
 }
 
 impl GreedyByteValue {
@@ -227,12 +214,47 @@ impl GreedyByteValue {
         Self::default()
     }
 
-    /// Current heap size, stale entries included. Exposed for the
-    /// memory-regression test: after
-    /// [`end_of_step`](DropPolicy::end_of_step) this is bounded by twice
-    /// the live buffer length plus one.
+    /// Number of indexed slices; always the number of stored slices.
+    /// Exposed for the memory-regression tests.
     pub fn index_len(&self) -> usize {
-        self.heap.len()
+        self.classes.iter().map(|c| c.seqs.len()).sum()
+    }
+
+    /// Number of byte-value classes held, empty ones included.
+    #[cfg(test)]
+    fn class_count(&self) -> usize {
+        self.classes.len()
+    }
+
+    /// Position of `slice`'s byte value in the class list: `Ok` when a
+    /// class holds it, `Err` with its insertion point otherwise.
+    fn find_class(&self, slice: &Slice) -> Result<usize, usize> {
+        self.classes
+            .binary_search_by(|c| byte_value_cmp(c.weight, c.size, slice.weight, slice.size))
+    }
+
+    /// Opens a class for `slice`'s byte value and returns its position.
+    /// Empty classes are pruned first once they outnumber live ones, so
+    /// right after an insertion the list holds at most twice the live
+    /// classes; it grows by exactly one slot, never by doubling.
+    fn open_class(&mut self, slice: &Slice) -> usize {
+        let empty = self.classes.iter().filter(|c| c.seqs.is_empty()).count();
+        if empty > self.classes.len() - empty {
+            self.classes.retain(|c| !c.seqs.is_empty());
+        }
+        let at = self
+            .find_class(slice)
+            .expect_err("no class holds this byte value");
+        self.classes.reserve_exact(1);
+        self.classes.insert(
+            at,
+            ValueClass {
+                weight: slice.weight,
+                size: slice.size,
+                seqs: VecDeque::new(),
+            },
+        );
+        at
     }
 }
 
@@ -242,49 +264,33 @@ impl DropPolicy for GreedyByteValue {
     }
 
     fn on_admit(&mut self, seq: Seq, slice: &Slice) {
-        self.heap.push(GreedyKey {
-            weight: slice.weight,
-            size: slice.size,
-            seq,
-        });
+        let at = match self.find_class(slice) {
+            Ok(at) => at,
+            Err(_) => self.open_class(slice),
+        };
+        self.classes[at].seqs.push_back(seq);
     }
 
-    fn on_remove(&mut self, _seq: Seq) {
-        // Lazy: the heap entry stays; count it for compaction.
-        self.stale += 1;
+    fn on_remove(&mut self, seq: Seq, slice: &Slice) {
+        let seqs = match self.find_class(slice) {
+            Ok(at) => &mut self.classes[at].seqs,
+            Err(_) => panic!("removal of {seq}, whose byte value has no class"),
+        };
+        if seqs.front() == Some(&seq) {
+            seqs.pop_front();
+        } else if seqs.back() == Some(&seq) {
+            seqs.pop_back();
+        } else {
+            panic!("removal of {seq} from the middle of its byte-value class");
+        }
     }
 
     fn next_victim(&mut self, buffer: &ServerBuffer) -> Option<Seq> {
         let protected = buffer.protected();
-        while let Some(&key) = self.heap.peek() {
-            if !buffer.contains(key.seq) {
-                // Stale (already removed): discard and un-count.
-                self.heap.pop();
-                self.stale = self.stale.saturating_sub(1);
-                continue;
-            }
-            if Some(key.seq) == protected {
-                // Permanently undroppable (a slice in transmission is
-                // never dropped later either). Its eventual `on_remove`
-                // will over-count `stale` by one — harmless, see above.
-                self.heap.pop();
-                continue;
-            }
-            return Some(key.seq);
-        }
-        None
-    }
-
-    fn end_of_step(&mut self, buffer: &ServerBuffer) {
-        if self.heap.is_empty() {
-            self.stale = 0;
-            return;
-        }
-        let stale = self.stale.min(self.heap.len());
-        if stale > self.heap.len() - stale {
-            self.heap.retain(|k| buffer.contains(k.seq));
-            self.stale = 0;
-        }
+        self.classes
+            .iter()
+            .filter_map(|c| c.seqs.back().copied())
+            .find(|&seq| Some(seq) != protected)
     }
 }
 
@@ -322,7 +328,7 @@ impl DropPolicy for RandomDrop {
         self.alive.push(seq);
     }
 
-    fn on_remove(&mut self, seq: Seq) {
+    fn on_remove(&mut self, seq: Seq, _slice: &Slice) {
         if let Some(pos) = self.positions.remove(&seq.0) {
             let last = self.alive.len() - 1;
             self.alive.swap(pos, last);
@@ -359,11 +365,11 @@ impl DropPolicy for RandomDrop {
 /// Reference implementation of the greedy rule by full rescan: on each
 /// victim query, linearly scan the buffer for the stored slice with the
 /// lowest byte value (newest-first on ties — identical semantics to
-/// [`GreedyByteValue`], which maintains a lazy heap instead).
+/// [`GreedyByteValue`], which maintains a per-byte-value index instead).
 ///
-/// O(n) per query instead of O(log n): kept for differential testing
-/// (the property tests assert both implementations produce identical
-/// schedules) and as the baseline of the heap-ablation benchmark.
+/// O(n) per query: kept for differential testing (the
+/// `greedy-index-vs-rescan` oracle steps both side by side and requires
+/// identical victims every slot).
 #[derive(Debug, Clone, Default)]
 pub struct GreedyRescan;
 
@@ -381,7 +387,7 @@ impl DropPolicy for GreedyRescan {
 
     fn on_admit(&mut self, _seq: Seq, _slice: &Slice) {}
 
-    fn on_remove(&mut self, _seq: Seq) {}
+    fn on_remove(&mut self, _seq: Seq, _slice: &Slice) {}
 
     fn next_victim(&mut self, buffer: &ServerBuffer) -> Option<Seq> {
         let protected = buffer.protected();
@@ -433,7 +439,7 @@ impl DropPolicy for PlannedDrops {
         }
     }
 
-    fn on_remove(&mut self, _seq: Seq) {}
+    fn on_remove(&mut self, _seq: Seq, _slice: &Slice) {}
 
     fn early_victim(&mut self, buffer: &ServerBuffer) -> Option<Seq> {
         // Planned rejects are dropped in the same step they arrive, so
@@ -515,16 +521,12 @@ impl DropPolicy for EarlyValueDrop {
         self.inner.on_admit(seq, slice);
     }
 
-    fn on_remove(&mut self, seq: Seq) {
-        self.inner.on_remove(seq);
+    fn on_remove(&mut self, seq: Seq, slice: &Slice) {
+        self.inner.on_remove(seq, slice);
     }
 
     fn next_victim(&mut self, buffer: &ServerBuffer) -> Option<Seq> {
         self.inner.next_victim(buffer)
-    }
-
-    fn end_of_step(&mut self, buffer: &ServerBuffer) {
-        self.inner.end_of_step(buffer);
     }
 
     fn early_victim(&mut self, buffer: &ServerBuffer) -> Option<Seq> {
@@ -556,6 +558,13 @@ mod tests {
             weight,
             kind: FrameKind::Generic,
         }
+    }
+
+    /// Drops `seq` from the buffer and mirrors the removal into a policy.
+    fn remove<P: DropPolicy>(policy: &mut P, buf: &mut ServerBuffer, seq: Seq) -> Slice {
+        let slice = buf.drop_slice(seq);
+        policy.on_remove(seq, &slice);
+        slice
     }
 
     /// Admits slices into a buffer and mirrors the events into a policy.
@@ -612,8 +621,7 @@ mod tests {
             &[slice(0, 1, 3), slice(1, 2, 1), slice(2, 1, 2)],
         );
         assert_eq!(p.next_victim(&b), Some(seqs[1]));
-        let victim = b.drop_slice(seqs[1]);
-        p.on_remove(seqs[1]);
+        let victim = remove(&mut p, &mut b, seqs[1]);
         assert_eq!(victim.id, SliceId(1));
         assert_eq!(p.next_victim(&b), Some(seqs[2]));
     }
@@ -628,24 +636,90 @@ mod tests {
 
     #[test]
     fn greedy_equal_ratios_with_different_sizes_tie() {
-        let mut p = GreedyByteValue::new();
-        let mut b = ServerBuffer::new();
-        // 2/4 == 1/2: equal byte values, newest wins.
-        let seqs = fill(&mut p, &mut b, &[slice(0, 4, 2), slice(1, 2, 1)]);
-        assert_eq!(p.next_victim(&b), Some(seqs[1]));
+        // 2/4 == 1/2: one class, newest first, in either admission order.
+        for pair in [
+            [slice(0, 4, 2), slice(1, 2, 1)],
+            [slice(0, 2, 1), slice(1, 4, 2)],
+        ] {
+            let mut p = GreedyByteValue::new();
+            let mut b = ServerBuffer::new();
+            let seqs = fill(&mut p, &mut b, &pair);
+            assert_eq!(p.class_count(), 1, "2/4 and 1/2 share a class");
+            assert_eq!(p.next_victim(&b), Some(seqs[1]));
+            remove(&mut p, &mut b, seqs[1]);
+            assert_eq!(p.next_victim(&b), Some(seqs[0]));
+        }
     }
 
     #[test]
-    fn greedy_skips_stale_and_protected_entries() {
+    fn greedy_skips_the_protected_head() {
         let mut p = GreedyByteValue::new();
         let mut b = ServerBuffer::new();
         let seqs = fill(&mut p, &mut b, &[slice(0, 4, 1), slice(1, 1, 5)]);
         b.transmit(1); // head (lowest byte value) now protected
         assert_eq!(p.next_victim(&b), Some(seqs[1]));
-        b.drop_slice(seqs[1]);
-        p.on_remove(seqs[1]);
+        remove(&mut p, &mut b, seqs[1]);
         assert_eq!(p.next_victim(&b), None, "only protected slice remains");
-        let _ = seqs;
+    }
+
+    #[test]
+    fn greedy_protected_sole_member_passes_to_the_next_class() {
+        let mut p = GreedyByteValue::new();
+        let mut b = ServerBuffer::new();
+        // Classes 1/4 (the head alone), 1 (two members), 5.
+        let seqs = fill(
+            &mut p,
+            &mut b,
+            &[
+                slice(0, 4, 1),
+                slice(1, 1, 1),
+                slice(2, 2, 2),
+                slice(3, 1, 5),
+            ],
+        );
+        assert_eq!(p.class_count(), 3);
+        b.transmit(1); // the lowest class's only member is now protected
+        assert_eq!(p.next_victim(&b), Some(seqs[2]), "back of the next class");
+        remove(&mut p, &mut b, seqs[2]);
+        assert_eq!(p.next_victim(&b), Some(seqs[1]));
+        remove(&mut p, &mut b, seqs[1]);
+        assert_eq!(p.next_victim(&b), Some(seqs[3]));
+    }
+
+    #[test]
+    fn greedy_weight_zero_slices_form_one_class() {
+        let mut p = GreedyByteValue::new();
+        let mut b = ServerBuffer::new();
+        let seqs = fill(
+            &mut p,
+            &mut b,
+            &[
+                slice(0, 1, 0),
+                slice(1, 1, 1),
+                slice(2, 3, 0),
+                slice(3, 2, 0),
+            ],
+        );
+        assert_eq!(p.class_count(), 2, "0/1, 0/3 and 0/2 are one class");
+        // Zero value sits below any positive value; newest first.
+        for &v in &[seqs[3], seqs[2], seqs[0], seqs[1]] {
+            assert_eq!(p.next_victim(&b), Some(v));
+            remove(&mut p, &mut b, v);
+        }
+        assert_eq!(p.index_len(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "middle of its byte-value class")]
+    fn greedy_rejects_a_removal_from_the_middle_of_a_class() {
+        let mut p = GreedyByteValue::new();
+        let mut b = ServerBuffer::new();
+        let seqs = fill(
+            &mut p,
+            &mut b,
+            &[slice(0, 1, 1), slice(1, 1, 1), slice(2, 1, 1)],
+        );
+        remove(&mut p, &mut b, seqs[1]);
     }
 
     #[test]
@@ -686,8 +760,7 @@ mod tests {
         for _ in 0..20 {
             assert_eq!(p.next_victim(&b), Some(seqs[1]));
         }
-        b.drop_slice(seqs[1]);
-        p.on_remove(seqs[1]);
+        remove(&mut p, &mut b, seqs[1]);
         assert_eq!(p.next_victim(&b), None);
     }
 
@@ -714,41 +787,28 @@ mod tests {
     }
 
     #[test]
-    fn default_end_of_step_is_a_noop() {
-        let mut p = TailDrop::new();
-        let mut b = ServerBuffer::new();
-        let seqs = fill(&mut p, &mut b, &[slice(0, 1, 1), slice(1, 1, 1)]);
-        p.end_of_step(&b);
-        assert_eq!(p.next_victim(&b), Some(seqs[1]));
-    }
-
-    #[test]
-    fn greedy_compacts_heap_when_stale_outnumber_live() {
+    fn greedy_index_is_exact_on_a_long_drop_free_run() {
         let mut p = GreedyByteValue::new();
         let mut b = ServerBuffer::new();
-        // Simulate a long drop-free run: slices flow through the buffer
-        // while next_victim (the lazy cleanup path) is never called.
+        // A long drop-free run: slices flow through the buffer while
+        // next_victim is never called; every finished transmission pops
+        // the front of its class.
         for i in 0..1000 {
             let s = slice(i, 1, 1);
             let seq = b.admit(s);
             p.on_admit(seq, &s);
             let sent = b.transmit(1);
             assert_eq!(sent.len(), 1);
-            p.on_remove(sent[0].0);
-            p.end_of_step(&b);
-            assert!(
-                p.index_len() <= 2 * b.len() + 1,
-                "heap grew to {} with {} live slices at step {i}",
-                p.index_len(),
-                b.len()
-            );
+            p.on_remove(sent[0].0, &sent[0].1);
+            assert_eq!(p.index_len(), b.len(), "index drifted at step {i}");
+            assert_eq!(p.class_count(), 1);
         }
         assert!(b.is_empty());
         assert_eq!(p.index_len(), 0);
     }
 
     #[test]
-    fn greedy_compaction_preserves_victim_order() {
+    fn greedy_victim_order_survives_out_of_band_removals() {
         let slices = [
             slice(0, 1, 7),
             slice(1, 2, 1),
@@ -756,44 +816,72 @@ mod tests {
             slice(3, 3, 2),
             slice(4, 2, 9),
         ];
-        let mut compacted = GreedyByteValue::new();
-        let mut lazy = GreedyByteValue::new();
+        let mut index = GreedyByteValue::new();
+        let mut rescan = GreedyRescan::new();
         let mut b1 = ServerBuffer::new();
         let mut b2 = ServerBuffer::new();
-        fill(&mut compacted, &mut b1, &slices);
-        fill(&mut lazy, &mut b2, &slices);
-        // Remove three of five out-of-band (stale 3 > live 2), then run
-        // the hook on one copy only; victim order must be unaffected.
-        for b in [&mut b1, &mut b2] {
-            b.drop_slice(Seq(1));
-            b.drop_slice(Seq(3));
-            b.drop_slice(Seq(4));
+        fill(&mut index, &mut b1, &slices);
+        fill(&mut rescan, &mut b2, &slices);
+        // Remove three of five out-of-band; each is its class's only
+        // member, so the index stays exact and keeps the emptied classes.
+        for seq in [Seq(1), Seq(3), Seq(4)] {
+            remove(&mut index, &mut b1, seq);
+            remove(&mut rescan, &mut b2, seq);
         }
-        for p in [&mut compacted, &mut lazy] {
-            p.on_remove(Seq(1));
-            p.on_remove(Seq(3));
-            p.on_remove(Seq(4));
-        }
-        compacted.end_of_step(&b1);
-        assert!(compacted.index_len() < lazy.index_len());
+        assert_eq!(index.index_len(), 2);
+        assert_eq!(index.class_count(), 5);
         loop {
-            let v1 = compacted.next_victim(&b1);
-            let v2 = lazy.next_victim(&b2);
+            let v1 = index.next_victim(&b1);
+            let v2 = rescan.next_victim(&b2);
             assert_eq!(v1, v2);
             match v1 {
                 Some(v) => {
-                    b1.drop_slice(v);
-                    compacted.on_remove(v);
-                    b2.drop_slice(v);
-                    lazy.on_remove(v);
+                    remove(&mut index, &mut b1, v);
+                    remove(&mut rescan, &mut b2, v);
                 }
                 None => break,
             }
         }
+        assert_eq!(index.index_len(), 0);
     }
 
     #[test]
-    fn rescan_agrees_with_heap_greedy() {
+    fn greedy_classes_stay_bounded_with_a_fresh_byte_value_per_slice() {
+        use crate::Server;
+        // Every slice opens a new class (weight 1..=3 over a size that
+        // never repeats a ratio), with overflow drops every slot.
+        let mut server = Server::new(8, 3, GreedyByteValue::new());
+        let mut step = crate::ServerStep::default();
+        let mut next = 0u64;
+        let mut drops = 0;
+        for t in 0..20_000u64 {
+            let arrivals: Vec<Slice> = (0..4)
+                .map(|_| {
+                    next += 1;
+                    Slice {
+                        arrival: t,
+                        ..slice(next, 1 + (next % 2), next)
+                    }
+                })
+                .collect();
+            server.step_into(t, &arrivals, &mut step);
+            drops += step.dropped.len();
+            let (p, b) = (server.policy(), server.buffer());
+            assert_eq!(p.index_len(), b.len(), "index drifted at t={t}");
+            // At most 8 stored slices (B = 8) plus the arrivals are live
+            // when a class opens.
+            assert!(
+                p.class_count() <= 2 * (8 + arrivals.len()) + 1,
+                "{} classes for {} live slices at t={t}",
+                p.class_count(),
+                b.len()
+            );
+        }
+        assert!(drops > 10_000, "only {drops} drops: the run is too easy");
+    }
+
+    #[test]
+    fn rescan_agrees_with_index_greedy() {
         let slices = [
             slice(0, 1, 3),
             slice(1, 2, 1),
@@ -801,23 +889,21 @@ mod tests {
             slice(3, 3, 3),
             slice(4, 1, 1),
         ];
-        let mut heap = GreedyByteValue::new();
+        let mut index = GreedyByteValue::new();
         let mut scan = GreedyRescan::new();
         let mut b1 = ServerBuffer::new();
         let mut b2 = ServerBuffer::new();
-        fill(&mut heap, &mut b1, &slices);
+        fill(&mut index, &mut b1, &slices);
         fill(&mut scan, &mut b2, &slices);
         // Drain victims one by one; sequences must match exactly.
         loop {
-            let v1 = heap.next_victim(&b1);
+            let v1 = index.next_victim(&b1);
             let v2 = scan.next_victim(&b2);
             assert_eq!(v1, v2);
             match v1 {
                 Some(v) => {
-                    b1.drop_slice(v);
-                    heap.on_remove(v);
-                    b2.drop_slice(v2.unwrap());
-                    scan.on_remove(v2.unwrap());
+                    remove(&mut index, &mut b1, v);
+                    remove(&mut scan, &mut b2, v);
                 }
                 None => break,
             }
@@ -845,8 +931,7 @@ mod tests {
             &[slice(0, 1, 5), slice(1, 1, 9), slice(2, 1, 1)],
         );
         assert_eq!(p.early_victim(&b), Some(seqs[1]));
-        b.drop_slice(seqs[1]);
-        p.on_remove(seqs[1]);
+        remove(&mut p, &mut b, seqs[1]);
         assert_eq!(p.early_victim(&b), None);
         // Overflow fallback behaves like tail-drop.
         assert_eq!(p.next_victim(&b), Some(seqs[2]));
@@ -863,10 +948,39 @@ mod tests {
         p.on_admit(s3, &slice(2, 1, 9));
         // Occupancy 3 > 2: the cheapest slice (value 1 < floor 5) goes.
         assert_eq!(p.early_victim(&b), Some(seqs[0]));
-        b.drop_slice(seqs[0]);
-        p.on_remove(seqs[0]);
+        remove(&mut p, &mut b, seqs[0]);
         // Remaining slices have value 9 >= floor: no further early drop.
         assert_eq!(p.early_victim(&b), None);
+    }
+
+    #[test]
+    fn early_value_drop_pops_the_back_of_the_lowest_class() {
+        // Capacity 4, trigger above 1 byte, floor 4: classes 1 (three
+        // members, two sizes), 2, and 9.
+        let mut p = EarlyValueDrop::new(4, 1, 4, 4);
+        let mut b = ServerBuffer::new();
+        let seqs = fill(
+            &mut p,
+            &mut b,
+            &[
+                slice(0, 1, 1),
+                slice(1, 2, 4),
+                slice(2, 2, 2),
+                slice(3, 1, 9),
+                slice(4, 1, 1),
+            ],
+        );
+        b.transmit(1); // the head (class 1's front) completes
+        p.on_remove(seqs[0], &slice(0, 1, 1));
+        let mut order = Vec::new();
+        while let Some(v) = p.early_victim(&b) {
+            remove(&mut p, &mut b, v);
+            order.push(v);
+            assert_eq!(p.inner.index_len(), b.len());
+        }
+        // Class 1 from its back (4 then 2), then class 2; 9 stays.
+        assert_eq!(order, vec![seqs[4], seqs[2], seqs[1]]);
+        assert_eq!(p.next_victim(&b), Some(seqs[3]));
     }
 
     #[test]

@@ -19,7 +19,7 @@
 use rts_obs::{DropReason, DropSite, Event, NoopProbe, Probe};
 use rts_stream::{Bytes, Slice, Time};
 
-use crate::buffer::{BufferBacking, Seq, ServerBuffer};
+use crate::buffer::{Seq, ServerBuffer};
 use crate::policy::DropPolicy;
 
 /// A contiguous group of bytes of one slice submitted to the link in one
@@ -102,19 +102,9 @@ impl<P: DropPolicy> Server<P> {
     ///
     /// Panics if `rate == 0` (the link could never drain).
     pub fn new(capacity: Bytes, rate: Bytes, policy: P) -> Self {
-        Self::with_buffer(capacity, rate, policy, ServerBuffer::new())
-    }
-
-    /// [`new`](Self::new) with an explicit [`BufferBacking`] (ring vs
-    /// the map-backed differential reference).
-    pub fn with_backing(capacity: Bytes, rate: Bytes, policy: P, backing: BufferBacking) -> Self {
-        Self::with_buffer(capacity, rate, policy, ServerBuffer::with_backing(backing))
-    }
-
-    fn with_buffer(capacity: Bytes, rate: Bytes, policy: P, buffer: ServerBuffer) -> Self {
         assert!(rate > 0, "link rate must be positive");
         Server {
-            buffer,
+            buffer: ServerBuffer::new(),
             policy,
             capacity,
             rate,
@@ -324,7 +314,7 @@ impl<P: DropPolicy> Server<P> {
         while let Some(victim) = self.policy.early_victim(&self.buffer) {
             self.validate_victim(victim);
             let slice = self.buffer.drop_slice(victim);
-            self.policy.on_remove(victim);
+            self.policy.on_remove(victim, &slice);
             if probe.enabled() {
                 probe.on_event(&Self::drop_event(time, &slice, DropReason::Policy));
             }
@@ -347,7 +337,7 @@ impl<P: DropPolicy> Server<P> {
             });
             self.validate_victim(victim);
             let slice = self.buffer.drop_slice(victim);
-            self.policy.on_remove(victim);
+            self.policy.on_remove(victim, &slice);
             if probe.enabled() {
                 probe.on_event(&Self::drop_event(time, &slice, DropReason::Overflow));
             }
@@ -360,7 +350,7 @@ impl<P: DropPolicy> Server<P> {
         while let Some((seq, slice, bytes, completed)) = self.buffer.transmit_chunk(left) {
             left -= bytes;
             if completed {
-                self.policy.on_remove(seq);
+                self.policy.on_remove(seq, &slice);
             }
             if probe.enabled() {
                 probe.on_event(&Event::SliceSent {
@@ -378,10 +368,6 @@ impl<P: DropPolicy> Server<P> {
                 completed,
             });
         }
-
-        // 4. End-of-step housekeeping: lazy policy indexes compact
-        // against the live buffer here (bounded even on drop-free runs).
-        self.policy.end_of_step(&self.buffer);
 
         debug_assert!(
             self.buffer.occupancy() <= self.capacity,
@@ -717,11 +703,10 @@ mod tests {
 
     #[test]
     fn greedy_index_stays_bounded_on_a_long_drop_free_run() {
-        // Memory regression for the lazy heap: a drop-free run never
-        // calls next_victim, so without end-of-step compaction the heap
-        // would accumulate one stale entry per transmitted slice
-        // (~20_000 here). With compaction it stays within a small
-        // multiple of the live buffer.
+        // Memory regression for the Greedy index: a drop-free run never
+        // calls next_victim, so every removal is a finished
+        // transmission. The index must still hold exactly the live
+        // slices, never one entry per transmitted slice (~80_000 here).
         use rts_stream::{FrameKind, SliceId};
         let unit = |id: u64| Slice {
             id: SliceId(id),
@@ -737,10 +722,10 @@ mod tests {
             let arrivals: Vec<Slice> = (0..4).map(|i| unit(4 * t + i)).collect();
             server.step_into(t, &arrivals, &mut scratch);
             assert!(scratch.dropped.is_empty(), "run must stay drop-free");
-            assert!(
-                server.policy().index_len() <= 64,
-                "lazy heap grew to {} entries at t={t}",
-                server.policy().index_len()
+            assert_eq!(
+                server.policy().index_len(),
+                server.buffer().len(),
+                "index drifted from the buffer at t={t}"
             );
         }
     }

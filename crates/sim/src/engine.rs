@@ -3,8 +3,7 @@
 
 use rts_core::tradeoff::SmoothingParams;
 use rts_core::{
-    BufferBacking, Client, ClientStep, ClockDrift, DropPolicy, ResyncPolicy, SentChunk, Server,
-    ServerStep,
+    Client, ClientStep, ClockDrift, DropPolicy, ResyncPolicy, SentChunk, Server, ServerStep,
 };
 use rts_obs::{Event, NoopProbe, Probe};
 use rts_stream::{Bytes, InputStream, Time};
@@ -31,10 +30,6 @@ pub struct SimConfig {
     /// Deterministic client clock drift. `None` keeps the paper's
     /// synchronous slotted clock.
     pub drift: Option<ClockDrift>,
-    /// Server-buffer backing store. The default [`BufferBacking::Ring`]
-    /// is the fast path; [`BufferBacking::Map`] keeps the map-backed
-    /// reference for differential tests and ablation benchmarks.
-    pub backing: BufferBacking,
 }
 
 impl SimConfig {
@@ -45,7 +40,6 @@ impl SimConfig {
             client_capacity: None,
             resync: None,
             drift: None,
-            backing: BufferBacking::default(),
         }
     }
 
@@ -63,13 +57,6 @@ impl SimConfig {
     /// Returns the config with a client [`ClockDrift`] installed.
     pub fn with_drift(mut self, drift: ClockDrift) -> Self {
         self.drift = Some(drift);
-        self
-    }
-
-    /// Returns the config with the given server-buffer backing (the
-    /// differential tests pin [`BufferBacking::Map`] here).
-    pub fn with_backing(mut self, backing: BufferBacking) -> Self {
-        self.backing = backing;
         self
     }
 }
@@ -168,7 +155,7 @@ pub fn simulate_with_link_probed<P: DropPolicy, L: LinkModel, Pr: Probe>(
     probe: &mut Pr,
 ) -> SimReport {
     let params = config.params;
-    let mut server = Server::with_backing(params.buffer, params.rate, policy, config.backing);
+    let mut server = Server::new(params.buffer, params.rate, policy);
     let mut client = Client::new(config.client_capacity(), params.delay, params.link_delay);
     if let Some(policy) = config.resync {
         client = client.with_resync(policy);

@@ -2,9 +2,11 @@
 # Benchmark regression gate: reruns the hotpath suite (full mode) and
 # compares each benchmark's median against the committed baseline
 # BENCH_hotpath.json with a tolerance band (default 1.6x; override with
-# BENCH_TOLERANCE). Also enforces the ring-vs-map ablation floors
-# (baseline >= 1.5x, live run >= 1.3x), caps the smoothd
-# telemetry-on/off overhead ratio at 1.5x, and keeps the offline fast
+# BENCH_TOLERANCE). Also enforces the server ring-vs-map ablation
+# floors — the map-backed reference server of rts-check against the
+# product server on the same stream (baseline >= 1.5x, live run
+# >= 1.3x) — caps the smoothd telemetry-on/off overhead ratio at
+# 1.5x, and keeps the offline fast
 # paths fast: chain-vs-generic >= 5x baseline / 4x live, and
 # warm-vs-cold sweeps >= 10x baseline / 8x live. It then reruns the smoothd
 # capacity ramp (1/2-shard and skewed rungs up to 100k sessions) and

@@ -9,10 +9,12 @@ cargo build --release --workspace
 cargo test -q --workspace
 cargo clippy --all-targets --workspace -- -D warnings
 
-# The ring-vs-map differential test in release mode (10k-frame streams,
-# all four policies, both slicing modes) and a smoke pass of the
-# hotpath suite, so verification exercises the fast buffer path
-# end to end.
+# The server differential test in release mode: the product ring
+# server against the map-backed reference server of rts-check, every
+# slot's step, on 10k-frame streams for all four policies in both
+# slicing modes. Then a smoke pass of the hotpath suite (including its
+# server ring-vs-map-reference pair), so verification exercises the
+# fast buffer path end to end.
 cargo test -q --release --test buffer_diff
 ./target/release/hotpath --smoke --out /tmp/BENCH_hotpath_smoke.json
 ./target/release/hotpath --validate /tmp/BENCH_hotpath_smoke.json

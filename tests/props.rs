@@ -139,8 +139,8 @@ fn queue_client_equals_reference_client() {
 }
 
 #[test]
-fn greedy_heap_equals_greedy_rescan() {
-    check("greedy-heap-vs-rescan");
+fn greedy_index_equals_greedy_rescan() {
+    check("greedy-index-vs-rescan");
 }
 
 #[test]

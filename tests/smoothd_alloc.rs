@@ -8,8 +8,8 @@
 //! must perform **zero** heap allocations and free nothing — the same
 //! style as the PR 4 hot-path bound, but over the whole serving loop
 //! (fair grants, server steps, link delivery, playout rings) instead
-//! of one policy. The pipeline test holds `Client::step_into` to the
-//! same bound.
+//! of one policy. The pipeline test holds `Client::step_into` and the
+//! Greedy byte-value index to the same bound.
 //!
 //! The tests drive `Shard` and the pipeline directly on the test
 //! thread: the daemon's workers and the sim engine run exactly these
@@ -21,8 +21,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-use rts_core::policy::TailDrop;
-use rts_core::{Client, ClientStep, SentChunk, Server, ServerStep};
+use rts_core::policy::{GreedyByteValue, TailDrop};
+use rts_core::{Client, ClientStep, DropPolicy, SentChunk, Server, ServerStep};
 use rts_sim::{Link, LinkModel};
 use rts_smoothd::{AdmitRequest, Shard, WirePolicy};
 use rts_stream::rng::SplitMix64;
@@ -150,31 +150,52 @@ fn assert_steady_state_allocation_free(link: u64, overbook: (u64, u64), warmup: 
 #[test]
 fn steady_state_client_pipeline_is_allocation_free() {
     let _serial = serial();
+    let any_weight = |rng: &mut SplitMix64, _size: u64| rng.range_u64(1, 12);
     // B = R·D and Bc = B: the client never drops (Lemmas 3.3/3.4).
-    let drops = assert_pipeline_allocation_free(4, 4);
+    let (_, drops) = assert_pipeline_allocation_free(4, 4, 1_024, TailDrop::new(), any_weight);
     assert_eq!(drops, 0, "a balanced client dropped {drops} slices");
     // D = 1 < ⌈B/R⌉ = 4: bytes queued behind a burst miss their
     // deadlines, so the client keeps discarding Late and Incomplete
     // slices throughout the window.
-    let drops = assert_pipeline_allocation_free(4, 1);
+    let (_, drops) = assert_pipeline_allocation_free(4, 1, 1_024, TailDrop::new(), any_weight);
     assert!(
         drops > 1_000,
         "only {drops} client drops: the window is too easy"
     );
+    // Greedy on the Section 5 weighting: 12, 8 or 1 per byte over slice
+    // sizes 1–3, so its index holds three byte-value classes while the
+    // bursts keep the server dropping. Each class has its own deque,
+    // which reaches its high-water mark only when a burst of that class
+    // peaks, so this input warms up longer.
+    let mpeg_weight =
+        |rng: &mut SplitMix64, size: u64| [12, 8, 1][rng.range_u64(0, 2) as usize] * size;
+    let (drops, _) =
+        assert_pipeline_allocation_free(3, 4, 4_096, GreedyByteValue::new(), mpeg_weight);
+    assert!(
+        drops > 1_000,
+        "only {drops} Greedy server drops: the window is too easy"
+    );
 }
 
 /// Runs a bursty stream through `Server → Link → Client::step_into`
-/// with `B = 16`, `R = rate`, `Bc = B` and smoothing delay `delay`,
-/// warms up for 1 024 slots, then requires 20 000 slots without an
-/// allocation or a free. Returns the client drops inside the window.
-fn assert_pipeline_allocation_free(rate: u64, delay: Time) -> u64 {
-    const WARMUP: Time = 1_024;
+/// with `B = 16`, `R = rate`, `Bc = B`, smoothing delay `delay` and
+/// the given drop policy, slice weights drawn by `weight(rng, size)`;
+/// warms up for `warmup` slots, then requires 20 000 slots without an
+/// allocation or a free. Returns the (server, client) drops inside the
+/// window.
+fn assert_pipeline_allocation_free<P: DropPolicy>(
+    rate: u64,
+    delay: Time,
+    warmup: Time,
+    policy: P,
+    weight: impl Fn(&mut SplitMix64, u64) -> u64,
+) -> (u64, u64) {
     const MEASURED_SLOTS: Time = 20_000;
     let buffer = 16;
     // Quiet slots of 0–2 small slices, and every 16th slot a burst of
     // 8–12 that overflows the server buffer.
     let mut rng = SplitMix64::new(14);
-    let frames: Vec<Vec<SliceSpec>> = (0..WARMUP + MEASURED_SLOTS)
+    let frames: Vec<Vec<SliceSpec>> = (0..warmup + MEASURED_SLOTS)
         .map(|t| {
             let n = if t % 16 == 0 {
                 rng.range_u64(8, 12)
@@ -182,23 +203,26 @@ fn assert_pipeline_allocation_free(rate: u64, delay: Time) -> u64 {
                 rng.range_u64(0, 2)
             };
             (0..n)
-                .map(|_| SliceSpec::new(rng.range_u64(1, 3), rng.range_u64(1, 12), FrameKind::P))
+                .map(|_| {
+                    let size = rng.range_u64(1, 3);
+                    SliceSpec::new(size, weight(&mut rng, size), FrameKind::P)
+                })
                 .collect()
         })
         .collect();
     let stream = InputStream::from_frames(frames);
 
-    let mut server = Server::new(buffer, rate, TailDrop::new());
+    let mut server = Server::new(buffer, rate, policy);
     let mut link = Link::new(1);
     let mut client = Client::new(buffer, delay, 1);
     let mut sstep = ServerStep::default();
     let mut cstep = ClientStep::default();
     let mut delivered: Vec<SentChunk> = Vec::new();
-    let (mut played, mut drops) = (0u64, 0u64);
+    let (mut played, mut server_drops, mut client_drops) = (0u64, 0u64, 0u64);
     let mut window_start = snapshot();
     for (t, frame) in stream.frames().iter().enumerate() {
         let t = t as Time;
-        if t == WARMUP {
+        if t == warmup {
             window_start = snapshot();
         }
         server.step_into(t, &frame.slices, &mut sstep);
@@ -206,28 +230,30 @@ fn assert_pipeline_allocation_free(rate: u64, delay: Time) -> u64 {
         delivered.clear();
         link.deliver_into(t, &mut delivered);
         client.step_into(t, &delivered, &mut cstep);
-        if t >= WARMUP {
+        if t >= warmup {
             played += cstep.played.len() as u64;
-            drops += cstep.dropped.len() as u64;
+            server_drops += sstep.dropped.len() as u64;
+            client_drops += cstep.dropped.len() as u64;
         }
     }
     let (a0, d0) = window_start;
     let (a1, d1) = snapshot();
 
+    let policy = server.policy_name();
     assert_eq!(
         a1 - a0,
         0,
-        "steady-state client pipeline (D = {delay}) allocated {} time(s) over {MEASURED_SLOTS} slots",
+        "steady-state {policy} pipeline (D = {delay}) allocated {} time(s) over {MEASURED_SLOTS} slots",
         a1 - a0
     );
     assert_eq!(
         d1 - d0,
         0,
-        "steady-state client pipeline (D = {delay}) freed {} time(s) over {MEASURED_SLOTS} slots",
+        "steady-state {policy} pipeline (D = {delay}) freed {} time(s) over {MEASURED_SLOTS} slots",
         d1 - d0
     );
     assert!(played > MEASURED_SLOTS / 2, "only {played} slices played");
-    drops
+    (server_drops, client_drops)
 }
 
 #[test]
