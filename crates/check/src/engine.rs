@@ -7,6 +7,13 @@
 //! printed in the failure report. Replaying that seed regenerates the
 //! exact failing input; the shrinker is pure, so the replay also
 //! re-derives the exact minimal counterexample.
+//!
+//! A property whose code under test panics fails its case like any
+//! other: every evaluation, shrink candidates included, turns a panic
+//! into [`Verdict::Fail`] carrying the panic message, so the case still
+//! shrinks and reports its `CHECK_SEED`.
+
+use std::panic::{self, AssertUnwindSafe};
 
 use rts_stream::rng::SplitMix64;
 
@@ -169,7 +176,7 @@ where
             None => master.next_u64(),
         };
         let input = gen(&mut SplitMix64::new(case_seed));
-        match prop(&input) {
+        match evaluate(&prop, &input) {
             Verdict::Pass => stats.passed += 1,
             Verdict::Discard => stats.discarded += 1,
             Verdict::Fail(message) => {
@@ -208,7 +215,7 @@ fn shrink_to_minimal<T: Clone>(
                 break 'outer;
             }
             evals += 1;
-            if let Verdict::Fail(msg) = prop(&candidate) {
+            if let Verdict::Fail(msg) = evaluate(prop, &candidate) {
                 current = candidate;
                 message = msg;
                 improvements += 1;
@@ -218,6 +225,21 @@ fn shrink_to_minimal<T: Clone>(
         break;
     }
     (current, message, improvements)
+}
+
+/// Evaluates `prop` on `input`; a panic becomes a [`Verdict::Fail`]
+/// carrying the panic message. The default panic hook still prints the
+/// panic to stderr (swapping the process-wide hook would race with
+/// parallel tests); the stdout report is unaffected.
+fn evaluate<T>(prop: &impl Fn(&T) -> Verdict, input: &T) -> Verdict {
+    panic::catch_unwind(AssertUnwindSafe(|| prop(input))).unwrap_or_else(|payload| {
+        let why = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or("non-string panic payload");
+        Verdict::Fail(format!("panicked: {why}"))
+    })
 }
 
 /// Shrink candidates for an integer, pulling toward `floor`: the floor
@@ -354,6 +376,22 @@ mod tests {
         let a = run_property(&cfg, gen_vec, shrink, describe, prop);
         let b = run_property(&cfg, gen_vec, shrink, describe, prop);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn a_panicking_property_fails_and_shrinks() {
+        // The code under test panics on inputs of 3 or more elements:
+        // the case fails with the panic message and shrinks to the
+        // smallest such input.
+        let cfg = CheckConfig::new(200, 11);
+        let fail = run_property(&cfg, gen_vec, shrink, describe, |v: &Vec<u64>| {
+            assert!(v.len() < 3, "too long: {}", v.len());
+            Verdict::Pass
+        })
+        .unwrap_err();
+        assert_eq!(fail.minimal, "[0, 0, 0]");
+        assert_eq!(fail.message, "panicked: too long: 3");
+        assert!(fail.shrink_steps > 0);
     }
 
     #[test]

@@ -22,8 +22,6 @@
 //! | `sim-vs-server-only` | full pipeline benefit vs server-only (balanced) |
 //! | `textio-roundtrip` | write→parse identity, plus BOM/CRLF mangling |
 
-use std::panic::{self, AssertUnwindSafe};
-
 use rts_core::policy::{GreedyByteValue, GreedyRescan};
 use rts_core::{Client, ClientStep, SentChunk, Server};
 use rts_faults::{simulate_faulted, FaultPlan};
@@ -69,26 +67,16 @@ fn reports_equal(a: &SimReport, b: &SimReport, what: &str) -> Verdict {
 /// Steps two servers over the case's stream side by side and requires
 /// identical [`ServerStep`](rts_core::ServerStep)s every slot. A server
 /// that panics (a policy with no victim, a bad victim, a broken index)
-/// fails the case instead of aborting the run, so it shrinks too.
+/// fails the case through the engine's panic catch, so it shrinks too.
 fn servers_agree(
     case: &SimCase,
     left: &mut impl Lockstep,
     right: &mut impl Lockstep,
     what: &str,
 ) -> Verdict {
-    let stream = case.stream.stream();
-    let run = panic::catch_unwind(AssertUnwindSafe(|| first_divergence(&stream, left, right)));
-    match run {
-        Ok(None) => Verdict::Pass,
-        Ok(Some(why)) => Verdict::fail(format!("{what}: {why}")),
-        Err(payload) => {
-            let why = payload
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| payload.downcast_ref::<&str>().copied())
-                .unwrap_or("non-string panic payload");
-            Verdict::fail(format!("{what}: a server panicked: {why}"))
-        }
+    match first_divergence(&case.stream.stream(), left, right) {
+        None => Verdict::Pass,
+        Some(why) => Verdict::fail(format!("{what}: {why}")),
     }
 }
 

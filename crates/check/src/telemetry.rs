@@ -2,7 +2,7 @@
 //!
 //! | check | binds |
 //! |---|---|
-//! | `hist-merge-oracle` | `LogHistogram::merge` is associative and commutative, and an [`AtomicHistogram`](rts_telemetry::AtomicHistogram) snapshot under interleaved record/merge equals the plain histogram fed the same data |
+//! | `hist-merge-oracle` | `LogHistogram::merge` is associative and commutative, and an [`AtomicHistogram`] snapshot under interleaved record/merge equals the plain histogram fed the same data |
 //!
 //! The merged histogram is what every scrape and stats frame reports
 //! (per-stage timers merge across shards), so merge order must not be

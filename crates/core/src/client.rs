@@ -22,6 +22,11 @@
 //! deadline, and arrivals that would overflow a client buffer smaller
 //! than `B` (impossible when `Bc = B = R·D`, by Lemma 3.4).
 //!
+//! A step reports what it did in a [`ClientStep`]: the slices played
+//! (`PT`), the discards with their reasons, and any timer resyncs. The
+//! client traces nothing itself; a runner that traces builds the slice
+//! events from that record (`rts_sim::events`).
+//!
 //! # The FIFO premise
 //!
 //! The server transmits its buffer in slice-id order, and every link
@@ -46,7 +51,6 @@
 
 use std::collections::VecDeque;
 
-use rts_obs::{DropReason, DropSite, Event, Probe};
 use rts_stream::{Bytes, Slice, SliceId, Time};
 
 use crate::server::SentChunk;
@@ -145,17 +149,6 @@ pub enum ClientDropReason {
     /// The playout deadline passed while parts of the slice were still in
     /// transit.
     Incomplete,
-}
-
-impl ClientDropReason {
-    /// The observability-layer reason this maps to.
-    pub fn as_obs(self) -> DropReason {
-        match self {
-            ClientDropReason::Overflow => DropReason::Overflow,
-            ClientDropReason::Late => DropReason::Late,
-            ClientDropReason::Incomplete => DropReason::Incomplete,
-        }
-    }
 }
 
 /// A slice discarded by the client, with the reason.
@@ -435,59 +428,6 @@ impl Client {
         }
 
         out.occupancy = self.occupancy;
-    }
-
-    /// [`step`](Self::step) with an observability probe: each playout
-    /// emits an [`Event::SlicePlayed`] (with its sojourn `t − AT(s)`),
-    /// each discard an [`Event::SliceDropped`] at [`DropSite::Client`],
-    /// and each timer re-anchor an [`Event::ClientResync`].
-    pub fn step_probed<Pr: Probe>(
-        &mut self,
-        t: Time,
-        delivered: &[SentChunk],
-        probe: &mut Pr,
-    ) -> ClientStep {
-        let mut out = ClientStep::default();
-        self.step_into_probed(t, delivered, &mut out, probe);
-        out
-    }
-
-    /// [`step_into`](Self::step_into) with an observability probe (see
-    /// [`step_probed`](Self::step_probed) for the events emitted).
-    pub fn step_into_probed<Pr: Probe>(
-        &mut self,
-        t: Time,
-        delivered: &[SentChunk],
-        out: &mut ClientStep,
-        probe: &mut Pr,
-    ) {
-        self.step_into(t, delivered, out);
-        if probe.enabled() {
-            for &skew in &out.resyncs {
-                probe.on_event(&Event::ClientResync { time: t, session: 0, skew });
-            }
-            for slice in &out.played {
-                probe.on_event(&Event::SlicePlayed {
-                    time: t,
-                    session: 0,
-                    id: slice.id.0,
-                    bytes: slice.size,
-                    weight: slice.weight,
-                    sojourn: t - slice.arrival,
-                });
-            }
-            for drop in &out.dropped {
-                probe.on_event(&Event::SliceDropped {
-                    time: t,
-                    session: 0,
-                    id: drop.slice.id.0,
-                    bytes: drop.slice.size,
-                    weight: drop.slice.weight,
-                    site: DropSite::Client,
-                    reason: drop.reason.as_obs(),
-                });
-            }
-        }
     }
 
     fn receive(&mut self, t: Time, chunk: &SentChunk, out: &mut ClientStep) {
@@ -774,44 +714,6 @@ mod tests {
     }
 
     #[test]
-    fn probed_step_reports_playout_and_drops() {
-        use rts_obs::VecProbe;
-        let mut c = Client::new(100, 3, 2);
-        let mut probe = VecProbe::new();
-        let s = slice(0, 0, 2);
-        c.step_probed(2, &[chunk(s, 0, 2, true)], &mut probe);
-        assert!(probe.events.is_empty());
-        c.step_probed(5, &[], &mut probe);
-        assert_eq!(probe.events.len(), 1);
-        assert!(
-            matches!(
-                probe.events[0],
-                Event::SlicePlayed { time: 5, id: 0, bytes: 2, sojourn: 5, .. }
-            ),
-            "{:?}",
-            probe.events[0]
-        );
-
-        // A late slice shows up as a client drop.
-        let late = slice(1, 0, 1);
-        let mut strict = Client::new(100, 0, 0);
-        let mut probe = VecProbe::new();
-        strict.step_probed(3, &[chunk(late, 3, 1, true)], &mut probe);
-        assert!(
-            matches!(
-                probe.events[0],
-                Event::SliceDropped {
-                    site: DropSite::Client,
-                    reason: DropReason::Late,
-                    ..
-                }
-            ),
-            "{:?}",
-            probe.events[0]
-        );
-    }
-
-    #[test]
     fn accessors() {
         let c = Client::new(7, 3, 2);
         assert_eq!(c.capacity(), 7);
@@ -864,20 +766,6 @@ mod tests {
         c.step(7, &[]);
         c.step(8, &[]);
         assert_eq!(c.resync_offset(), 0, "offset decays to zero, not below");
-    }
-
-    #[test]
-    fn probed_step_reports_resyncs() {
-        use rts_obs::VecProbe;
-        let mut c = Client::new(100, 0, 0).with_resync(ResyncPolicy::new(5, 0));
-        let mut probe = VecProbe::new();
-        let s = slice(0, 0, 1);
-        c.step_probed(2, &[chunk(s, 2, 1, true)], &mut probe);
-        assert!(
-            matches!(probe.events[0], Event::ClientResync { time: 2, session: 0, skew: 2 }),
-            "{:?}",
-            probe.events[0]
-        );
     }
 
     #[test]

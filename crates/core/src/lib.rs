@@ -12,6 +12,12 @@
 //! * [`Client`] — the client side (Section 3.1.2): a timer-based playout
 //!   algorithm that needs no clock synchronization and makes no drop
 //!   decisions beyond discarding data that missed its deadline.
+//!
+//!   Server and client only report their steps: each returns a
+//!   [`ServerStep`] or [`ClientStep`] holding the Definition 2.2
+//!   moments of that slot (sends, drops, playouts). The crate has no
+//!   tracing; `rts_sim::events` builds the observability events from
+//!   these records.
 //! * [`policy`] — the drop policies evaluated in the paper: the
 //!   under-specified *arbitrary* drop of the generic algorithm
 //!   ([`TailDrop`], [`HeadDrop`], [`RandomDrop`]) and the weighted

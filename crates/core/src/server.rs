@@ -15,8 +15,12 @@
 //! supplies the choice. With variable slice sizes, whole slices are
 //! dropped until the surviving data fits, which is where the
 //! `(B - Lmax + 1)/B` degradation of Theorem 3.9 comes from.
+//!
+//! A step reports what it did in a [`ServerStep`]: the chunks sent
+//! (`ST`), the slices dropped (`D(t)`, proactive ones first) and the
+//! occupancy left. The server traces nothing itself; a runner that
+//! traces builds the slice events from that record (`rts_sim::events`).
 
-use rts_obs::{DropReason, DropSite, Event, NoopProbe, Probe};
 use rts_stream::{Bytes, Slice, Time};
 
 use crate::buffer::{Seq, ServerBuffer};
@@ -42,8 +46,12 @@ pub struct SentChunk {
 pub struct ServerStep {
     /// Bytes submitted to the link this step, in FIFO order (`S(t)`).
     pub sent: Vec<SentChunk>,
-    /// Slices dropped this step (`D(t)`).
+    /// Slices dropped this step (`D(t)`), proactive drops first.
     pub dropped: Vec<Slice>,
+    /// How many leading entries of `dropped` the policy discarded
+    /// proactively (Section 2.1's early drops); the rest are overflow
+    /// drops (Equation 3).
+    pub early_dropped: usize,
     /// Buffer occupancy after the step (`|Bs(t)|`).
     pub occupancy: Bytes,
 }
@@ -65,6 +73,7 @@ impl ServerStep {
     pub fn clear(&mut self) {
         self.sent.clear();
         self.dropped.clear();
+        self.early_dropped = 0;
         self.occupancy = 0;
     }
 }
@@ -169,72 +178,29 @@ impl<P: DropPolicy> Server<P> {
     /// Panics if the drop policy fails to produce a victim while
     /// droppable slices remain (a policy bug).
     pub fn step(&mut self, time: Time, arrivals: &[Slice]) -> ServerStep {
-        self.step_with_budget(time, arrivals, self.rate)
+        let mut out = ServerStep::default();
+        self.step_into(time, arrivals, &mut out);
+        out
     }
 
-    /// [`step`](Self::step) with an observability probe: emits
-    /// [`Event::SliceAdmitted`], [`Event::SliceDropped`], and
-    /// [`Event::SliceSent`] as they happen. With a
-    /// [`NoopProbe`] this is exactly `step`.
-    pub fn step_probed<Pr: Probe>(
-        &mut self,
-        time: Time,
-        arrivals: &[Slice],
-        probe: &mut Pr,
-    ) -> ServerStep {
-        self.step_with_budget_probed(time, arrivals, self.rate, probe)
-    }
-
-    /// Like [`step`](Self::step), but transmits at most `budget` bytes
-    /// this step instead of the configured rate `R`.
-    ///
-    /// This is the shared-link building block: a multiplexer grants each
-    /// session a per-slot share of one link, possibly zero, and the
-    /// overflow threshold scales with the grant (`B + budget` instead of
-    /// `B + R`) so the post-step occupancy still never exceeds `B`.
-    /// With `budget == R` this is exactly the dedicated-link step.
-    pub fn step_with_budget(&mut self, time: Time, arrivals: &[Slice], budget: Bytes) -> ServerStep {
+    /// [`step`](Self::step) writing into a caller-held [`ServerStep`]
+    /// (cleared and refilled), so a driving loop can reuse one step
+    /// across slots without per-slot allocation.
+    pub fn step_into(&mut self, time: Time, arrivals: &[Slice], out: &mut ServerStep) {
         self.admit_arrivals(arrivals);
-        self.step_admitted(time, budget)
-    }
-
-    /// [`step_with_budget`](Self::step_with_budget) with a probe.
-    pub fn step_with_budget_probed<Pr: Probe>(
-        &mut self,
-        time: Time,
-        arrivals: &[Slice],
-        budget: Bytes,
-        probe: &mut Pr,
-    ) -> ServerStep {
-        self.admit_arrivals_probed(arrivals, probe);
-        self.step_admitted_probed(time, budget, probe)
+        self.step_admitted_into(time, self.rate, out);
     }
 
     /// Phase 1 of a step: arrivals join the buffer (and the policy's
-    /// index). Splitting admission from [`step_admitted`](Self::step_admitted)
-    /// lets a link scheduler look at every session's post-arrival demand
-    /// before deciding the per-session transmission budgets.
+    /// index). Splitting admission from
+    /// [`step_admitted_into`](Self::step_admitted_into) lets a link
+    /// scheduler look at every session's post-arrival demand before
+    /// deciding the per-session transmission budgets.
     pub fn admit_arrivals(&mut self, arrivals: &[Slice]) {
-        self.admit_arrivals_probed(arrivals, &mut NoopProbe);
-    }
-
-    /// [`admit_arrivals`](Self::admit_arrivals) with a probe: emits one
-    /// [`Event::SliceAdmitted`] per arrival, timed at the slice's own
-    /// arrival slot `AT(s)`.
-    pub fn admit_arrivals_probed<Pr: Probe>(&mut self, arrivals: &[Slice], probe: &mut Pr) {
         for slice in arrivals {
             debug_assert!(slice.size > 0, "streams validate slice sizes");
             let seq = self.buffer.admit(*slice);
             self.policy.on_admit(seq, slice);
-            if probe.enabled() {
-                probe.on_event(&Event::SliceAdmitted {
-                    time: slice.arrival,
-                    session: 0,
-                    id: slice.id.0,
-                    bytes: slice.size,
-                    weight: slice.weight,
-                });
-            }
         }
     }
 
@@ -251,63 +217,18 @@ impl<P: DropPolicy> Server<P> {
         self.policy.on_admit(seq, &slice);
     }
 
-    /// Phases 2–3 of a step: early drops, overflow resolution against a
-    /// droppable threshold of `B + budget`, then transmission of up to
-    /// `budget` bytes in FIFO order. Arrivals must already have been
+    /// Phases 2–3 of a step, writing into a caller-held [`ServerStep`]
+    /// (cleared and refilled): early drops, overflow resolution against
+    /// a droppable threshold of `B + budget`, then transmission of up
+    /// to `budget` bytes in FIFO order. Arrivals must already have been
     /// admitted via [`admit_arrivals`](Self::admit_arrivals).
-    pub fn step_admitted(&mut self, time: Time, budget: Bytes) -> ServerStep {
-        self.step_admitted_probed(time, budget, &mut NoopProbe)
-    }
-
-    /// [`step_admitted`](Self::step_admitted) with a probe: early drops
-    /// emit [`Event::SliceDropped`] with [`DropReason::Policy`],
-    /// overflow drops with [`DropReason::Overflow`], and every link
-    /// submission an [`Event::SliceSent`].
-    pub fn step_admitted_probed<Pr: Probe>(
-        &mut self,
-        time: Time,
-        budget: Bytes,
-        probe: &mut Pr,
-    ) -> ServerStep {
-        let mut out = ServerStep::default();
-        self.step_admitted_into_probed(time, budget, &mut out, probe);
-        out
-    }
-
-    /// [`step`](Self::step) writing into a caller-held [`ServerStep`]
-    /// (cleared and refilled), so a driving loop can reuse one step
-    /// across slots without per-slot allocation.
-    pub fn step_into(&mut self, time: Time, arrivals: &[Slice], out: &mut ServerStep) {
-        self.step_into_probed(time, arrivals, out, &mut NoopProbe);
-    }
-
-    /// [`step_into`](Self::step_into) with a probe.
-    pub fn step_into_probed<Pr: Probe>(
-        &mut self,
-        time: Time,
-        arrivals: &[Slice],
-        out: &mut ServerStep,
-        probe: &mut Pr,
-    ) {
-        self.admit_arrivals_probed(arrivals, probe);
-        self.step_admitted_into_probed(time, self.rate, out, probe);
-    }
-
-    /// [`step_admitted`](Self::step_admitted) writing into a caller-held
-    /// [`ServerStep`] (cleared and refilled).
+    ///
+    /// This is the shared-link building block: a multiplexer grants
+    /// each session a per-slot share of one link, possibly zero, and
+    /// the overflow threshold scales with the grant so the post-step
+    /// occupancy still never exceeds `B`. With `budget == R` this is
+    /// exactly the dedicated-link step.
     pub fn step_admitted_into(&mut self, time: Time, budget: Bytes, out: &mut ServerStep) {
-        self.step_admitted_into_probed(time, budget, out, &mut NoopProbe);
-    }
-
-    /// [`step_admitted_into`](Self::step_admitted_into) with a probe.
-    /// This is the allocation-free core every other step method wraps.
-    pub fn step_admitted_into_probed<Pr: Probe>(
-        &mut self,
-        time: Time,
-        budget: Bytes,
-        out: &mut ServerStep,
-        probe: &mut Pr,
-    ) {
         out.clear();
 
         // 2a. Early drops, if the policy is proactive (Section 2.1).
@@ -315,11 +236,9 @@ impl<P: DropPolicy> Server<P> {
             self.validate_victim(victim);
             let slice = self.buffer.drop_slice(victim);
             self.policy.on_remove(victim, &slice);
-            if probe.enabled() {
-                probe.on_event(&Self::drop_event(time, &slice, DropReason::Policy));
-            }
             out.dropped.push(slice);
         }
+        out.early_dropped = out.dropped.len();
 
         // 2b. Overflow resolution. After sending min(budget, occ) bytes
         // the residue must fit in B, so the droppable threshold is
@@ -338,9 +257,6 @@ impl<P: DropPolicy> Server<P> {
             self.validate_victim(victim);
             let slice = self.buffer.drop_slice(victim);
             self.policy.on_remove(victim, &slice);
-            if probe.enabled() {
-                probe.on_event(&Self::drop_event(time, &slice, DropReason::Overflow));
-            }
             out.dropped.push(slice);
         }
 
@@ -351,15 +267,6 @@ impl<P: DropPolicy> Server<P> {
             left -= bytes;
             if completed {
                 self.policy.on_remove(seq, &slice);
-            }
-            if probe.enabled() {
-                probe.on_event(&Event::SliceSent {
-                    time,
-                    session: 0,
-                    id: slice.id.0,
-                    bytes,
-                    completed,
-                });
             }
             out.sent.push(SentChunk {
                 time,
@@ -377,30 +284,6 @@ impl<P: DropPolicy> Server<P> {
         );
 
         out.occupancy = self.buffer.occupancy();
-    }
-
-    /// Runs drain steps (no arrivals) until the buffer empties, starting
-    /// at `from` (exclusive of prior steps). Returns the per-step outputs.
-    pub fn drain(&mut self, mut from: Time) -> Vec<(Time, ServerStep)> {
-        let mut out = Vec::new();
-        while !self.buffer.is_empty() {
-            let step = self.step(from, &[]);
-            out.push((from, step));
-            from += 1;
-        }
-        out
-    }
-
-    fn drop_event(time: Time, slice: &Slice, reason: DropReason) -> Event {
-        Event::SliceDropped {
-            time,
-            session: 0,
-            id: slice.id.0,
-            bytes: slice.size,
-            weight: slice.weight,
-            site: DropSite::Server,
-            reason,
-        }
     }
 
     fn validate_victim(&self, victim: Seq) {
@@ -432,16 +315,26 @@ mod tests {
         )
     }
 
+    /// Steps `server` with no arrivals from slot `from` until its buffer
+    /// empties, returning each slot's step.
+    fn drain<P: DropPolicy>(server: &mut Server<P>, mut from: Time) -> Vec<ServerStep> {
+        let mut steps = Vec::new();
+        while !server.is_drained() {
+            steps.push(server.step(from, &[]));
+            from += 1;
+        }
+        steps
+    }
+
     fn run_throughput<P: DropPolicy>(server: &mut Server<P>, stream: &InputStream) -> Bytes {
         let mut sent = 0;
         for frame in stream.frames() {
             sent += server.step(frame.time, &frame.slices).sent_bytes();
         }
         let last = stream.last_arrival().unwrap_or(0);
-        sent + server
-            .drain(last + 1)
+        sent + drain(server, last + 1)
             .iter()
-            .map(|(_, s)| s.sent_bytes())
+            .map(ServerStep::sent_bytes)
             .sum::<Bytes>()
     }
 
@@ -500,7 +393,7 @@ mod tests {
                 ids.push(c.slice.id.0);
             }
         }
-        for (_, s) in server.drain(2) {
+        for s in drain(&mut server, 2) {
             for c in s.sent {
                 ids.push(c.slice.id.0);
             }
@@ -547,8 +440,8 @@ mod tests {
         let mut server = Server::new(10, 2, TailDrop::new());
         let first = server.step(0, &stream.frames()[0].slices);
         assert_eq!(first.sent_bytes(), 2);
-        let rest = server.drain(1);
-        let drained: Bytes = rest.iter().map(|(_, s)| s.sent_bytes()).sum();
+        let rest = drain(&mut server, 1);
+        let drained: Bytes = rest.iter().map(ServerStep::sent_bytes).sum();
         assert_eq!(drained, 3);
         assert!(server.is_drained());
         assert_eq!(rest.len(), 2); // 2 + 1 bytes over two steps
@@ -588,7 +481,9 @@ mod tests {
         // buffer must hold (and overflow against B alone).
         let stream = unit_frames(&[3]);
         let mut server = Server::new(2, 5, TailDrop::new());
-        let step = server.step_with_budget(0, &stream.frames()[0].slices, 0);
+        let mut step = ServerStep::default();
+        server.admit_arrivals(&stream.frames()[0].slices);
+        server.step_admitted_into(0, 0, &mut step);
         assert_eq!(step.sent_bytes(), 0);
         assert_eq!(step.dropped_bytes(), 1); // 3 arrivals, B = 2, grant 0
         assert_eq!(step.occupancy, 2);
@@ -596,25 +491,18 @@ mod tests {
 
     #[test]
     fn full_budget_step_equals_dedicated_step() {
+        // Admitting first and then stepping with a budget of R is
+        // exactly the one-call dedicated-link step.
         let stream = unit_frames(&[5, 2, 0, 7]);
         let mut dedicated = Server::new(3, 2, GreedyByteValue::new());
-        let mut granted = Server::new(3, 2, GreedyByteValue::new());
+        let mut split = Server::new(3, 2, GreedyByteValue::new());
+        let mut granted = ServerStep::default();
         for frame in stream.frames() {
-            let a = dedicated.step(frame.time, &frame.slices);
-            let b = granted.step_with_budget(frame.time, &frame.slices, 2);
-            assert_eq!(a, b);
+            let whole = dedicated.step(frame.time, &frame.slices);
+            split.admit_arrivals(&frame.slices);
+            split.step_admitted_into(frame.time, 2, &mut granted);
+            assert_eq!(whole, granted);
         }
-    }
-
-    #[test]
-    fn split_admit_then_step_equals_one_call() {
-        let stream = unit_frames(&[6]);
-        let mut whole = Server::new(2, 2, TailDrop::new());
-        let mut split = Server::new(2, 2, TailDrop::new());
-        let a = whole.step(0, &stream.frames()[0].slices);
-        split.admit_arrivals(&stream.frames()[0].slices);
-        let b = split.step_admitted(0, 2);
-        assert_eq!(a, b);
     }
 
     #[test]
@@ -629,52 +517,23 @@ mod tests {
     }
 
     #[test]
-    fn probed_step_emits_matching_events() {
-        use rts_obs::VecProbe;
-        // B=2, R=1: burst of 5 → 1 admitted×5, 2 dropped, 1 sent.
-        let stream = unit_frames(&[5]);
-        let mut server = Server::new(2, 1, TailDrop::new());
-        let mut probe = VecProbe::new();
-        let step = server.step_probed(0, &stream.frames()[0].slices, &mut probe);
-
-        let admitted = probe
-            .events
-            .iter()
-            .filter(|e| matches!(e, Event::SliceAdmitted { .. }))
-            .count();
-        let dropped: Vec<_> = probe
-            .events
-            .iter()
-            .filter_map(|e| match e {
-                Event::SliceDropped { site, reason, .. } => Some((*site, *reason)),
-                _ => None,
-            })
-            .collect();
-        let sent_bytes: Bytes = probe
-            .events
-            .iter()
-            .filter_map(|e| match e {
-                Event::SliceSent { bytes, .. } => Some(*bytes),
-                _ => None,
-            })
-            .sum();
-        assert_eq!(admitted, 5);
-        assert_eq!(dropped, vec![(DropSite::Server, DropReason::Overflow); 2]);
-        assert_eq!(sent_bytes, step.sent_bytes());
-    }
-
-    #[test]
-    fn probed_step_equals_unprobed_step() {
-        let stream = unit_frames(&[5, 0, 9, 2]);
-        let mut plain = Server::new(3, 2, GreedyByteValue::new());
-        let mut probed = Server::new(3, 2, GreedyByteValue::new());
-        let mut probe = rts_obs::VecProbe::new();
-        for frame in stream.frames() {
-            let a = plain.step(frame.time, &frame.slices);
-            let b = probed.step_probed(frame.time, &frame.slices, &mut probe);
-            assert_eq!(a, b);
-        }
-        assert!(!probe.events.is_empty());
+    fn early_drops_lead_the_drop_list() {
+        // B=4, R=1; occupancy above B/2 early-drops slices of byte
+        // value below 2. The two 1-weight slices go proactively (newest
+        // first), then Eq. 3 overflows the newest 5-weight slice.
+        use crate::policy::EarlyValueDrop;
+        let mut b = InputStream::builder();
+        b.frame(
+            0,
+            [1, 1, 5, 5, 5, 5, 5, 5].map(|w| SliceSpec::new(1, w, FrameKind::Generic)),
+        );
+        let stream = b.build();
+        let mut server = Server::new(4, 1, EarlyValueDrop::new(4, 1, 2, 2));
+        let step = server.step(0, &stream.frames()[0].slices);
+        let dropped: Vec<u64> = step.dropped.iter().map(|s| s.id.0).collect();
+        assert_eq!(dropped, vec![1, 0, 7]);
+        assert_eq!(step.early_dropped, 2);
+        assert_eq!(step.sent_bytes(), 1);
     }
 
     #[test]

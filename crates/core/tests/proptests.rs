@@ -162,13 +162,16 @@ fn greedy_wins_single_bursts() {
             .filter(|c| c.completed)
             .map(|c| c.slice.weight)
             .sum::<u64>();
-        for (_, step) in server.drain(1) {
-            total += step
+        let mut t = 1;
+        while !server.is_drained() {
+            total += server
+                .step(t, &[])
                 .sent
                 .iter()
                 .filter(|c| c.completed)
                 .map(|c| c.slice.weight)
                 .sum::<u64>();
+            t += 1;
         }
         total
     }

@@ -6,7 +6,7 @@ use rts_core::tradeoff::SmoothingParams;
 use rts_core::{Client, ClientStep, ClockDrift, ResyncPolicy, Server, ServerStep};
 use rts_faults::{FaultPlan, FaultyLink};
 use rts_obs::{Event, Probe};
-use rts_sim::{Link, LinkModel};
+use rts_sim::{events, Link, LinkModel};
 use rts_stream::{Bytes, InputStream, Slice, Time, Weight};
 
 /// Everything needed to join a session to a multiplexer: the input
@@ -228,7 +228,8 @@ impl Session {
         let frames = self.stream.frames();
         while self.next_frame < frames.len() && frames[self.next_frame].time == t {
             let arrivals: &[Slice] = &frames[self.next_frame].slices;
-            self.server.admit_arrivals_probed(arrivals, probe);
+            self.server.admit_arrivals(arrivals);
+            events::admitted(probe, arrivals);
             self.next_frame += 1;
         }
     }
@@ -253,8 +254,8 @@ impl Session {
         grant: Bytes,
         probe: &mut Pr,
     ) -> SlotOutcome {
-        self.server
-            .step_admitted_into_probed(t, grant, &mut self.sstep, probe);
+        self.server.step_admitted_into(t, grant, &mut self.sstep);
+        events::server_step(probe, t, &self.sstep);
         let sstep = &self.sstep;
         let sent = sstep.sent_bytes();
         self.metrics.sent_bytes += sent;
@@ -270,8 +271,8 @@ impl Session {
                 probe.on_event(&Event::LinkFault { time: t, session: 0, kind });
             }
         }
-        self.client
-            .step_into_probed(t, &self.delivered, &mut self.cstep, probe);
+        self.client.step_into(t, &self.delivered, &mut self.cstep);
+        events::client_step(probe, t, &self.cstep);
         let cstep = &self.cstep;
         for played in &cstep.played {
             self.metrics.played_slices += 1;

@@ -8,6 +8,7 @@ use rts_core::{
 use rts_obs::{Event, NoopProbe, Probe};
 use rts_stream::{Bytes, InputStream, Time};
 
+use crate::events;
 use crate::link::{Link, LinkModel};
 use crate::metrics::Metrics;
 use crate::record::{Fate, ScheduleRecord, StepSample};
@@ -204,7 +205,9 @@ pub fn simulate_with_link_probed<P: DropPolicy, L: LinkModel, Pr: Probe>(
             }
             _ => &[],
         };
-        server.step_into_probed(t, arrivals, &mut sstep, probe);
+        server.step_into(t, arrivals, &mut sstep);
+        events::admitted(probe, arrivals);
+        events::server_step(probe, t, &sstep);
         for d in &sstep.dropped {
             record.resolve(d.id, Fate::ServerDropped { time: t });
         }
@@ -223,7 +226,8 @@ pub fn simulate_with_link_probed<P: DropPolicy, L: LinkModel, Pr: Probe>(
         }
 
         // 3. The client absorbs deliveries and plays frame t - P - D.
-        client.step_into_probed(t, &delivered, &mut cstep, probe);
+        client.step_into(t, &delivered, &mut cstep);
+        events::client_step(probe, t, &cstep);
         for s in &cstep.played {
             record.resolve(s.id, Fate::Played { playout: t });
         }

@@ -10,6 +10,8 @@
 //! * [`ScheduleRecord`] / [`Metrics`] — the per-slice record and the
 //!   aggregate measures of Definition 2.4 and Section 5;
 //! * [`validate()`](validate()) — Definitions 2.2–2.5 and Lemmas 3.2–3.4 as assertions;
+//! * [`events`] — the slice events of a traced run, built from each
+//!   stage's step record;
 //! * [`parallel_map`] — fan parameter sweeps out over threads.
 //!
 //! # Example
@@ -41,6 +43,7 @@
 #![warn(missing_docs)]
 
 mod engine;
+pub mod events;
 pub mod jitter;
 mod link;
 mod metrics;

@@ -12,6 +12,8 @@ use rts_core::{DropPolicy, Server};
 use rts_obs::{Event, NoopProbe, Probe};
 use rts_stream::{Bytes, InputStream, Weight};
 
+use crate::events;
+
 /// Aggregate result of a single-buffer run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServerRun {
@@ -99,43 +101,33 @@ pub fn run_server_only_probed<P: DropPolicy, Pr: Probe>(
     if probe.enabled() {
         probe.on_event(&Event::RunStart { time: 0, sessions: 1 });
     }
-    let absorb =
-        |run: &mut ServerRun, step: &rts_core::ServerStep, t: u64, probe: &mut Pr| {
-            for c in &step.sent {
-                if c.completed {
-                    run.throughput += c.slice.size;
-                    run.benefit += c.slice.weight;
-                    run.sent_slices += 1;
-                }
-            }
-            run.dropped_slices += step.dropped.len() as u64;
-            if probe.enabled() {
-                probe.on_event(&Event::SlotEnd {
-                    time: t,
-                    server_occupancy: step.occupancy,
-                    client_occupancy: 0,
-                    link_bytes: step.sent_bytes(),
-                });
-            }
-        };
-
     let mut frames = stream.frames().iter().peekable();
     let mut t = 0;
     let mut step = rts_core::ServerStep::default();
-    while let Some(f) = frames.peek() {
-        let arrivals: &[_] = if f.time == t {
-            let f = frames.next().expect("peeked");
-            &f.slices
-        } else {
-            &[]
+    while frames.peek().is_some() || !server.is_drained() {
+        let arrivals: &[_] = match frames.next_if(|f| f.time == t) {
+            Some(f) => &f.slices,
+            None => &[],
         };
-        server.step_into_probed(t, arrivals, &mut step, probe);
-        absorb(&mut run, &step, t, probe);
-        t += 1;
-    }
-    while !server.is_drained() {
-        server.step_into_probed(t, &[], &mut step, probe);
-        absorb(&mut run, &step, t, probe);
+        server.step_into(t, arrivals, &mut step);
+        events::admitted(probe, arrivals);
+        events::server_step(probe, t, &step);
+        for c in &step.sent {
+            if c.completed {
+                run.throughput += c.slice.size;
+                run.benefit += c.slice.weight;
+                run.sent_slices += 1;
+            }
+        }
+        run.dropped_slices += step.dropped.len() as u64;
+        if probe.enabled() {
+            probe.on_event(&Event::SlotEnd {
+                time: t,
+                server_occupancy: step.occupancy,
+                client_occupancy: 0,
+                link_bytes: step.sent_bytes(),
+            });
+        }
         t += 1;
     }
     if probe.enabled() {

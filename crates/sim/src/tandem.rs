@@ -27,6 +27,7 @@ use rts_core::{Client, DropPolicy, SentChunk, Server};
 use rts_obs::{Event, NoopProbe, Probe, Tagged};
 use rts_stream::{Bytes, InputStream, Slice, SliceId, Time};
 
+use crate::events;
 use crate::link::{Link, LinkModel};
 
 /// One hop: the buffer in front of a link and the link itself.
@@ -266,7 +267,10 @@ where
             Some(f) if f.time == t => &frames.next().expect("peeked").slices,
             _ => &[],
         };
-        origin.step_into_probed(t, arrivals, &mut step, &mut Tagged::new(probe, 0));
+        origin.step_into(t, arrivals, &mut step);
+        let hop0 = &mut Tagged::new(probe, 0);
+        events::admitted(hop0, arrivals);
+        events::server_step(hop0, t, &step);
         report.hop_drops[0] += step.dropped.len() as u64;
         slot_sent += step.sent_bytes();
         links[0].submit(&step.sent);
@@ -284,9 +288,10 @@ where
             links[i].deliver_into(t, &mut delivered);
             ready.clear();
             relay.absorb_into(&delivered, &mut ready);
-            relay
-                .server
-                .step_into_probed(t, &ready, &mut step, &mut Tagged::new(probe, i as u32 + 1));
+            relay.server.step_into(t, &ready, &mut step);
+            let hop = &mut Tagged::new(probe, i as u32 + 1);
+            events::admitted(hop, &ready);
+            events::server_step(hop, t, &step);
             report.hop_drops[i + 1] += step.dropped.len() as u64;
             report.reassembly_peak[i + 1] = relay.reassembly_peak;
             slot_sent += step.sent_bytes();
@@ -305,12 +310,8 @@ where
         for c in &mut delivered {
             c.time = t - total_link_delay.min(t);
         }
-        client.step_into_probed(
-            t,
-            &delivered,
-            &mut cstep,
-            &mut Tagged::new(probe, hops.len() as u32 - 1),
-        );
+        client.step_into(t, &delivered, &mut cstep);
+        events::client_step(&mut Tagged::new(probe, hops.len() as u32 - 1), t, &cstep);
         for s in &cstep.played {
             report.benefit += s.weight;
             report.played_bytes += s.size;

@@ -1067,7 +1067,7 @@ impl Daemon {
                     time: r.slot,
                     session: r.session,
                     shard: r.shard,
-                    reason: r.cause.as_obs(),
+                    reason: r.cause,
                 });
             }
         }
@@ -1385,7 +1385,7 @@ impl Daemon {
                         time: r.slot,
                         session: r.session,
                         shard: r.shard,
-                        reason: r.cause.as_obs(),
+                        reason: r.cause,
                     });
                 }
             }
@@ -1548,25 +1548,6 @@ mod tests {
             elapsed >= floor,
             "paced run finished too fast: {elapsed:?} < {slots}·{period:?}"
         );
-    }
-
-    #[test]
-    fn legacy_sleep_pacing_still_runs_and_reports_no_misses() {
-        // The Sleep variant is kept for drift comparison: period =
-        // work + interval, so it can never miss a deadline (there is
-        // none) — the deterministic drift law itself is pinned by the
-        // ManualClock tests in rts-telemetry.
-        let mut cfg = small_config(1, 64);
-        cfg.pacing = SlotPacing::Sleep(Duration::from_micros(200));
-        let mut d = Daemon::start(cfg);
-        d.admit(&cbr_request(4, 10)).unwrap();
-        assert!(d.wait_idle(Duration::from_secs(30)));
-        let report = d.shutdown(true);
-        assert!(report.totals.conserved());
-        for s in &report.shards {
-            assert_eq!(s.deadline_misses, 0);
-            assert_eq!(s.slot_overruns, 0);
-        }
     }
 
     #[test]

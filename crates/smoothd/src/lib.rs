@@ -54,8 +54,7 @@ pub use ingest::{serve_uds, serve_uds_with};
 pub use ingest::{serve_tcp, serve_tcp_with, IngestConfig, IngestServer, DEFAULT_INGEST_THREADS};
 pub use replay::{replay_sessions, ReplaySession};
 pub use session::{
-    ArrivalSource, LiveSession, PlayoutRing, QueuedSlice, RetireCause, SessionCounters, SessionId,
-    SlotDelta,
+    ArrivalSource, LiveSession, PlayoutRing, QueuedSlice, SessionCounters, SessionId, SlotDelta,
 };
 pub use shard::{Retirement, Shard, ShardStats};
 pub use snapshot::{

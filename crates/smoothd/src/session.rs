@@ -32,28 +32,6 @@ use crate::snapshot::{SnapReader, SnapshotError};
 /// tags used by the batch mux).
 pub type SessionId = u64;
 
-/// Why a session left its shard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum RetireCause {
-    /// Source exhausted and the pipeline emptied.
-    Completed,
-    /// Drain was requested and the pipeline emptied.
-    Drained,
-    /// Evicted mid-flight; in-flight bytes were discarded.
-    Evicted,
-}
-
-impl RetireCause {
-    /// The observability-layer reason for this cause.
-    pub fn as_obs(self) -> RetireReason {
-        match self {
-            RetireCause::Completed => RetireReason::Completed,
-            RetireCause::Drained => RetireReason::Drained,
-            RetireCause::Evicted => RetireReason::Evicted,
-        }
-    }
-}
-
 /// Exact per-session byte/slice ledger.
 ///
 /// The conservation identity every session maintains (and the churn
@@ -241,7 +219,7 @@ struct OpenSlice {
 /// See the module docs for why `D + 1` buckets suffice. Partial
 /// deliveries accumulate in a single open-slice slot (FIFO transmission
 /// guarantees at most one). `head` is the bucket of the current client
-/// slot `t`, i.e. `t mod (D + 1)`; [`play`](Self::play) advances it, so
+/// slot `t`, i.e. `t mod (D + 1)`; each slot's playout advances it, so
 /// the per-slice bucket lookups are an add and a compare. It is not
 /// part of the snapshot encoding: a restore re-derives it from the
 /// session's local clock.
@@ -565,16 +543,16 @@ impl LiveSession {
     }
 
     /// Why this session can retire now, if it can.
-    pub fn retire_cause(&self) -> Option<RetireCause> {
+    pub fn retire_cause(&self) -> Option<RetireReason> {
         if self.source.done()
             && self.server.is_drained()
             && self.link.is_empty()
             && self.ring.is_empty()
         {
             Some(if self.draining {
-                RetireCause::Drained
+                RetireReason::Drained
             } else {
-                RetireCause::Completed
+                RetireReason::Completed
             })
         } else {
             None
@@ -972,7 +950,7 @@ mod tests {
         LiveSession::new(1, params, 1, Box::new(TailDrop::new()), source)
     }
 
-    fn run_to_retirement(s: &mut LiveSession, max_slots: u64) -> RetireCause {
+    fn run_to_retirement(s: &mut LiveSession, max_slots: u64) -> RetireReason {
         let mut sstep = ServerStep::default();
         let mut delivered = Vec::new();
         let mut scratch = Vec::new();
@@ -991,7 +969,7 @@ mod tests {
     fn cbr_session_plays_everything_at_full_grant() {
         let mut s = session(2, 3, 1, ArrivalSource::cbr(2, 1, 5, Some(10)));
         let cause = run_to_retirement(&mut s, 64);
-        assert_eq!(cause, RetireCause::Completed);
+        assert_eq!(cause, RetireReason::Completed);
         let c = s.counters();
         assert_eq!(c.offered_slices, 20);
         assert_eq!(c.played_slices, 20);
@@ -1073,7 +1051,7 @@ mod tests {
         assert!(s.retire_cause().is_none(), "unbounded CBR never retires");
         s.drain();
         let cause = run_to_retirement(&mut s, 32);
-        assert_eq!(cause, RetireCause::Drained);
+        assert_eq!(cause, RetireReason::Drained);
         assert!(s.counters().conserved());
     }
 
@@ -1195,7 +1173,7 @@ mod tests {
         }
         assert!(s.push_slices(&[(1, 1), (3, 2), (2, 1)]));
         s.drain();
-        assert_eq!(run_to_retirement(&mut s, 32), RetireCause::Drained);
+        assert_eq!(run_to_retirement(&mut s, 32), RetireReason::Drained);
         let c = s.counters();
         assert_eq!(
             (c.offered_slices, c.offered_bytes),
@@ -1229,7 +1207,7 @@ mod tests {
         assert_eq!(s.local_time(), 3);
         assert_eq!(s.counters().offered_slices, 2);
         s.drain();
-        assert_eq!(run_to_retirement(&mut s, 32), RetireCause::Drained);
+        assert_eq!(run_to_retirement(&mut s, 32), RetireReason::Drained);
         let c = s.counters();
         assert_eq!((c.offered_slices, c.offered_bytes), (4, 8));
         assert!(c.conserved());
@@ -1250,7 +1228,7 @@ mod tests {
         s.drain();
         assert!(!s.push_slices(&[(1, 1)]), "drained sessions refuse data");
         let cause = run_to_retirement(&mut s, 32);
-        assert_eq!(cause, RetireCause::Drained);
+        assert_eq!(cause, RetireReason::Drained);
         assert_eq!(s.counters().offered_slices, 2);
         assert!(s.counters().conserved());
     }

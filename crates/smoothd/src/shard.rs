@@ -30,11 +30,11 @@ use std::collections::HashMap;
 use rts_core::tradeoff::SmoothingParams;
 use rts_core::{DropPolicy, GreedyByteValue, HeadDrop, SentChunk, ServerStep, TailDrop};
 use rts_mux::{AdmissionController, AdmissionError};
-use rts_obs::{LogHistogram, RejectReason};
+use rts_obs::{LogHistogram, RejectReason, RetireReason};
 use rts_stream::{Bytes, Slice, Time, Weight};
 
 use crate::frame::{AdmitRequest, WirePolicy};
-use crate::session::{ArrivalSource, LiveSession, RetireCause, SessionCounters, SessionId};
+use crate::session::{ArrivalSource, LiveSession, SessionCounters, SessionId};
 
 /// Cumulative per-shard aggregates.
 #[derive(Debug, Default)]
@@ -65,7 +65,7 @@ pub struct Retirement {
     /// Shard slot at which it left.
     pub slot: Time,
     /// Why it left.
-    pub cause: RetireCause,
+    pub cause: RetireReason,
     /// Link rate it had reserved (released at retirement).
     pub rate: Bytes,
     /// Its final, conserved ledger.
@@ -343,7 +343,7 @@ impl Shard {
             session,
             shard: self.id,
             slot: self.now,
-            cause: RetireCause::Evicted,
+            cause: RetireReason::Evicted,
             rate,
             counters,
         });
@@ -799,8 +799,8 @@ mod tests {
             assert!(r.counters.conserved(), "session {} leaks bytes", r.session);
         }
         let cause_of = |id| retirements.iter().find(|r| r.session == id).unwrap().cause;
-        assert_eq!(cause_of(10), RetireCause::Completed);
-        assert_eq!(cause_of(11), RetireCause::Drained);
-        assert_eq!(cause_of(12), RetireCause::Evicted);
+        assert_eq!(cause_of(10), RetireReason::Completed);
+        assert_eq!(cause_of(11), RetireReason::Drained);
+        assert_eq!(cause_of(12), RetireReason::Evicted);
     }
 }

@@ -93,10 +93,6 @@ impl Clock for ManualClock {
 pub enum SlotPacing {
     /// Step as fast as possible (batch mode, drains, tests).
     Free,
-    /// Legacy post-slot sleep: realized period = work + interval.
-    /// Kept so the drift regression test can compare against
-    /// [`SlotPacing::Deadline`]; new configs should prefer `Deadline`.
-    Sleep(Duration),
     /// Absolute-deadline pacing: realized period = `max(work, period)`,
     /// with misses counted instead of compounding.
     Deadline(Duration),
@@ -107,7 +103,7 @@ impl SlotPacing {
     pub fn period(self) -> Option<Duration> {
         match self {
             SlotPacing::Free => None,
-            SlotPacing::Sleep(d) | SlotPacing::Deadline(d) => Some(d),
+            SlotPacing::Deadline(d) => Some(d),
         }
     }
 }
@@ -167,10 +163,6 @@ impl<C: Clock> SlotClock<C> {
     pub fn pace(&mut self) -> SlotOutcome {
         match self.pacing {
             SlotPacing::Free => SlotOutcome::default(),
-            SlotPacing::Sleep(interval) => {
-                self.clock.sleep(interval);
-                SlotOutcome::default()
-            }
             SlotPacing::Deadline(period) => {
                 let now = self.clock.now();
                 if now <= self.next {
@@ -209,21 +201,6 @@ mod tests {
     }
 
     const MS: Duration = Duration::from_millis(1);
-
-    #[test]
-    fn legacy_sleep_drifts_by_work_time() {
-        let clock = Arc::new(ManualClock::new());
-        let mut sc = SlotClock::new(Shared(Arc::clone(&clock)), SlotPacing::Sleep(10 * MS));
-        let mut periods = Vec::new();
-        for _ in 0..5 {
-            let start = clock.now();
-            clock.advance(3 * MS); // slot work
-            sc.pace();
-            periods.push(clock.now() - start);
-        }
-        // period = work + interval: the documented drift.
-        assert!(periods.iter().all(|&p| p == 13 * MS), "{periods:?}");
-    }
 
     #[test]
     fn deadline_pacing_holds_the_period() {
@@ -265,7 +242,7 @@ mod tests {
     }
 
     #[test]
-    fn free_and_sleep_never_miss() {
+    fn free_pacing_never_misses() {
         let clock = Arc::new(ManualClock::new());
         let mut free = SlotClock::new(Shared(Arc::clone(&clock)), SlotPacing::Free);
         clock.advance(1000 * MS);

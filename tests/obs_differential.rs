@@ -5,14 +5,14 @@
 //! and a JSONL trace replayed through a fresh collector must reproduce
 //! the live one.
 
-use rts_core::policy::GreedyByteValue;
+use rts_core::policy::{EarlyValueDrop, GreedyByteValue};
 use rts_core::tradeoff::SmoothingParams;
-use rts_obs::{Collector, DropSite, JsonlWriter, LogHistogram, Tee};
-use rts_sim::{simulate_probed, SimConfig};
+use rts_obs::{Collector, DropReason, DropSite, Event, JsonlWriter, LogHistogram, Tee, VecProbe};
+use rts_sim::{run_server_only_probed, simulate_probed, SimConfig};
 use rts_stream::gen::{MpegConfig, MpegSource};
 use rts_stream::slicing::Slicing;
 use rts_stream::weight::WeightAssignment;
-use rts_stream::InputStream;
+use rts_stream::{FrameKind, InputStream, SliceSpec};
 
 fn mpeg_10k() -> InputStream {
     MpegSource::new(MpegConfig::cnn_like(), 42)
@@ -117,4 +117,59 @@ fn jsonl_trace_replay_reproduces_the_live_collector() {
     assert_eq!(live.summary(), replayed.summary());
     assert_eq!(live.admitted_bytes.get(), replayed.admitted_bytes.get());
     assert_eq!(live.dropped_bytes(), replayed.dropped_bytes());
+}
+
+/// A proactive policy's early drops and Eq. 3's overflow drops reach the
+/// trace with distinct reasons, in the server's order: admissions,
+/// policy drops, overflow drops, sends.
+#[test]
+fn server_trace_splits_policy_from_overflow_drops() {
+    // B=4, R=1; occupancy above B/2 early-drops slices of byte value
+    // below 2: both 1-weight slices (newest first), then the overflow
+    // takes the newest 5-weight slice and slice 2 is sent.
+    let weights = [1, 1, 5, 5, 5, 5, 5, 5];
+    let mut b = InputStream::builder();
+    b.frame(0, weights.map(|w| SliceSpec::new(1, w, FrameKind::Generic)));
+    let stream = b.build();
+    let mut tape = VecProbe::new();
+    run_server_only_probed(&stream, 4, 1, EarlyValueDrop::new(4, 1, 2, 2), &mut tape);
+
+    let slot0: Vec<Event> = tape
+        .events
+        .iter()
+        .skip_while(|e| matches!(e, Event::RunStart { .. }))
+        .take_while(|e| !matches!(e, Event::SlotEnd { .. }))
+        .copied()
+        .collect();
+    let drop = |id: u64, reason| Event::SliceDropped {
+        time: 0,
+        session: 0,
+        id,
+        bytes: 1,
+        weight: weights[id as usize],
+        site: DropSite::Server,
+        reason,
+    };
+    let mut want: Vec<Event> = (0..8u64)
+        .map(|id| Event::SliceAdmitted {
+            time: 0,
+            session: 0,
+            id,
+            bytes: 1,
+            weight: weights[id as usize],
+        })
+        .collect();
+    want.extend([
+        drop(1, DropReason::Policy),
+        drop(0, DropReason::Policy),
+        drop(7, DropReason::Overflow),
+        Event::SliceSent {
+            time: 0,
+            session: 0,
+            id: 2,
+            bytes: 1,
+            completed: true,
+        },
+    ]);
+    assert_eq!(slot0, want);
 }

@@ -255,13 +255,13 @@ fn tcp_ingest_answers_protocol_garbage_with_a_protocol_reject() {
 
 #[test]
 fn full_command_queues_shed_with_typed_backpressure() {
-    // One slow shard: a long slot interval keeps the worker asleep
-    // while we flood its bounded queue.
+    // One slow shard: a long slot period keeps the worker parked
+    // between slots while we flood its bounded queue.
     let mut daemon = Daemon::start(DaemonConfig {
         shards: 1,
         shard_link_rate: 1 << 10,
         queue_capacity: 2,
-        pacing: SlotPacing::Sleep(Duration::from_millis(50)),
+        pacing: SlotPacing::Deadline(Duration::from_millis(50)),
         record_events: true,
         ..DaemonConfig::default()
     });
