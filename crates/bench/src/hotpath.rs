@@ -556,6 +556,7 @@ mod tests {
 
     #[test]
     fn smoke_suite_produces_every_benchmark() {
+        let _serial = crate::serial();
         let suite = run(true);
         assert_eq!(suite.mode, "smoke");
         let names: Vec<&str> = suite.timings.iter().map(|t| t.name.as_str()).collect();

@@ -23,3 +23,14 @@ pub mod workload;
 
 pub use results::results_dir;
 pub use table::Table;
+
+/// Held for its whole body by every unit test that runs a daemon or a
+/// timing suite, so none of them shares the cores with another: a
+/// wall-clock ratio such as `admit_bench`'s collapses when sibling tests
+/// spin shards beside it.
+#[cfg(test)]
+pub(crate) fn serial() -> std::sync::MutexGuard<'static, ()> {
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // A failed test poisons the lock; the next one still runs.
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}

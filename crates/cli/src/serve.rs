@@ -238,8 +238,9 @@ pub(crate) fn serve_cmd(args: &Args) -> Result<String, CliError> {
     };
 
     // --skew true pins every loopback admission onto shard 0 instead
-    // of cost-routing, building the deliberately unbalanced population
-    // the rebalancer exists to fix (CI's migration smoke uses this).
+    // of placing it on the widest residual, building the deliberately
+    // unbalanced population the rebalancer exists to fix (CI's
+    // migration smoke uses this).
     let skew = args.opt("skew") == Some("true");
     let mut admitted: u64 = 0;
     let mut rejected: u64 = 0;

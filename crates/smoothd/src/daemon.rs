@@ -5,15 +5,28 @@
 //! draining a bounded command queue between slots. The control plane
 //! (admissions, data injection, drain/evict, stats) talks to workers
 //! only through those queues, so the hot loop never takes a lock.
+//! After every command drain and every slot a worker publishes its
+//! shard's gauges to its [`Registry`] block and hands its retirements
+//! over; the control plane reads shard state only from there.
+//!
+//! Every admission takes one path. By Theorem 3.5 (`B = R·D`) a
+//! session's reserved rate `R` is its whole claim on a shard, and the
+//! control plane books that claim itself, per shard, in an atomic
+//! mirror of committed rate. Placement reads only that mirror: a
+//! session, or a chunk of a batch, goes to the shard with the widest
+//! residual bookable rate that still fits it, ties to the lower index,
+//! and [`Daemon::restore`] plans with the same rule. The mirror moves
+//! when a command is sent, not when a worker gets to it, so
+//! back-to-back admissions see each other and spread across shards.
 //!
 //! Admission control happens twice, deliberately:
 //!
-//! 1. The control plane keeps a per-shard atomic mirror of committed
-//!    rate and performs the `B = R·D` feasibility and capacity checks
-//!    before enqueueing, so rejects are immediate and typed
-//!    ([`RejectReason`]). The mirror is conservative: it is
-//!    incremented before the worker sees the admit and decremented
-//!    only after the worker has released the reservation.
+//! 1. The control plane performs the `B = R·D` feasibility and the
+//!    mirror's capacity check before enqueueing, so rejects are
+//!    immediate and typed ([`RejectReason`]). The mirror is
+//!    conservative: it is incremented before the worker sees the admit
+//!    and decremented only after the worker has released the
+//!    reservation.
 //! 2. The shard's own [`rts_mux::AdmissionController`] remains the
 //!    authority inside the worker; by the ordering above it can never
 //!    see more committed rate than the mirror allowed.
@@ -115,18 +128,19 @@ impl Default for DaemonConfig {
     }
 }
 
+/// Most sessions one [`Command::Admit`] carries: small enough to spread
+/// a batch across shards, large enough to amortize the queue crossing.
+const CHUNK: u64 = 1024;
+
 enum Command {
-    Admit {
-        id: SessionId,
-        req: AdmitRequest,
-        source: Option<ArrivalSource>,
-    },
     /// `count` sessions with consecutive ids starting at `first_id`,
     /// all built from the same request: one queue crossing per chunk.
-    AdmitBatch {
+    /// An explicit `source` (single admissions only) feeds the first.
+    Admit {
         first_id: SessionId,
         count: u32,
         req: AdmitRequest,
+        source: Option<ArrivalSource>,
     },
     Inject {
         id: SessionId,
@@ -174,16 +188,6 @@ struct MigrationRecord {
     to: u32,
 }
 
-#[derive(Default)]
-struct SharedShard {
-    sessions: AtomicU64,
-    slots: AtomicU64,
-    played: AtomicU64,
-    /// Wall nanoseconds of the most recent `process_slot`, published
-    /// every slot: the measured cost signal the admission router uses.
-    slot_ns: AtomicU64,
-}
-
 /// Condvar the workers bump whenever retirements land, so
 /// [`Daemon::wait_idle`] blocks instead of busy-polling.
 #[derive(Default)]
@@ -216,8 +220,7 @@ impl IdleSignal {
 struct ShardHandle {
     tx: SyncSender<Command>,
     committed: Arc<AtomicU64>,
-    shared: Arc<SharedShard>,
-    retired: Arc<Mutex<Vec<Retirement>>>,
+    telemetry: Arc<ShardTelemetry>,
     join: JoinHandle<Shard>,
 }
 
@@ -289,61 +292,78 @@ impl DaemonReport {
 }
 
 /// Worker-side context [`apply`] needs beyond the shard itself: the
-/// control plane's committed-rate mirror, the shared migration sink,
-/// this shard's telemetry block, and the stop mode once one arrived
-/// (an [`Command::Import`] landing after Stop must follow the same
-/// drain/evict policy or the worker would never exit).
+/// control plane's committed-rate mirror, this shard's telemetry
+/// block, the shared retirement and migration sinks, and the stop mode
+/// once one arrived (an [`Command::Import`] landing after Stop must
+/// follow the same drain/evict policy or the worker would never exit).
 struct WorkerCtx {
     committed: Arc<AtomicU64>,
     telemetry: Arc<ShardTelemetry>,
+    retired: Arc<Mutex<Vec<Retirement>>>,
     migrated: Arc<Mutex<Vec<MigrationRecord>>>,
     idle: Arc<IdleSignal>,
     stop: Option<bool>,
+    /// Retirements on their way from the shard to `retired`.
+    retire_buf: Vec<Retirement>,
+    /// The shard's cumulative (slots, played slices, sent bytes) at the
+    /// last publish: the registry takes increments so merges stay exact.
+    published: (u64, u64, Bytes),
 }
 
-#[allow(clippy::too_many_arguments)]
+impl WorkerCtx {
+    /// Publishes the shard's state to the control plane: the session
+    /// gauge and counter increments to the registry block first, then
+    /// any retirements, whose rate goes back to the mirror before they
+    /// reach the sink and [`Daemon::wait_idle`] is woken.
+    fn publish(&mut self, shard: &mut Shard) {
+        let stats = shard.stats();
+        let t = &self.telemetry;
+        t.sessions.set(shard.sessions() as u64);
+        t.slots.add(stats.slots - self.published.0);
+        t.played_slices.add(stats.played_slices - self.published.1);
+        t.sent_bytes.add(stats.sent_bytes - self.published.2);
+        self.published = (stats.slots, stats.played_slices, stats.sent_bytes);
+        if !shard.has_retirements() {
+            return;
+        }
+        let started = Instant::now();
+        shard.take_retirements(&mut self.retire_buf);
+        for r in &self.retire_buf {
+            self.committed.fetch_sub(r.rate, Ordering::Relaxed);
+        }
+        self.retired
+            .lock()
+            .expect("retirement sink poisoned")
+            .append(&mut self.retire_buf);
+        self.idle.bump();
+        t.retire.record(started.elapsed().as_nanos() as u64);
+    }
+}
+
 fn worker(
     mut shard: Shard,
     rx: Receiver<Command>,
-    committed: Arc<AtomicU64>,
-    shared: Arc<SharedShard>,
-    retired_sink: Arc<Mutex<Vec<Retirement>>>,
-    telemetry: Arc<ShardTelemetry>,
-    migrated: Arc<Mutex<Vec<MigrationRecord>>>,
-    idle: Arc<IdleSignal>,
+    mut ctx: WorkerCtx,
     pacing: SlotPacing,
 ) -> Shard {
-    let mut ctx = WorkerCtx {
-        committed,
-        telemetry,
-        migrated,
-        idle,
-        stop: None,
-    };
-    let mut retire_buf: Vec<Retirement> = Vec::new();
     let mut clock = SlotClock::new(MonotonicClock::new(), pacing);
     let period_ns = pacing.period().map(|p| p.as_nanos() as u64);
-    // Deltas for the monotone telemetry counters (shard stats are
-    // cumulative; the registry wants increments so merges stay exact).
-    let mut prev_played = 0u64;
-    let mut prev_sent = 0u64;
-    let mut prev_slots = 0u64;
     let mut was_idle = true;
+    // A command the idle wait received; the next drain applies it.
+    let mut waiting: Option<Command> = None;
     loop {
         // Drain the command queue without blocking the slot cadence.
         let drain_started = Instant::now();
         let mut applied = false;
         loop {
-            match rx.try_recv() {
+            match waiting.take().map_or_else(|| rx.try_recv(), Ok) {
                 Ok(cmd) => {
                     applied = true;
                     apply(&mut shard, cmd, &mut ctx);
                 }
                 Err(TryRecvError::Empty) => break,
                 Err(TryRecvError::Disconnected) => {
-                    if ctx.stop.is_none() {
-                        ctx.stop = Some(false);
-                    }
+                    ctx.stop.get_or_insert(false);
                     break;
                 }
             }
@@ -352,21 +372,16 @@ fn worker(
             ctx.telemetry
                 .admit
                 .record(drain_started.elapsed().as_nanos() as u64);
+            ctx.publish(&mut shard);
         }
         if shard.sessions() == 0 {
             if ctx.stop.is_some() {
                 break;
             }
             was_idle = true;
-            ctx.telemetry.sessions.set(0);
             // Idle: wait for work instead of spinning.
             match rx.recv_timeout(Duration::from_millis(2)) {
-                Ok(cmd) => {
-                    apply(&mut shard, cmd, &mut ctx);
-                    if ctx.stop.is_some() && shard.sessions() == 0 {
-                        break;
-                    }
-                }
+                Ok(cmd) => waiting = Some(cmd),
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => break,
             }
@@ -383,43 +398,9 @@ fn worker(
         let nanos = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         shard.stats_mut().latency.record(nanos);
         ctx.telemetry.process.record(nanos);
-        let slots = shard.stats().slots;
-        ctx.telemetry.slots.add(slots - prev_slots);
-        prev_slots = slots;
-        ctx.telemetry.sessions.set(shard.sessions() as u64);
-        let played = shard.stats().played_slices;
-        ctx.telemetry.played_slices.add(played - prev_played);
-        prev_played = played;
-        let sent = shard.stats().sent_bytes;
-        ctx.telemetry.sent_bytes.add(sent - prev_sent);
-        prev_sent = sent;
-        shared
-            .sessions
-            .store(shard.sessions() as u64, Ordering::Relaxed);
-        shared.slots.store(shard.now(), Ordering::Relaxed);
-        shared
-            .played
-            .store(shard.stats().played_slices, Ordering::Relaxed);
-        shared.slot_ns.store(nanos, Ordering::Relaxed);
-        if shard.has_retirements() {
-            let retire_started = Instant::now();
-            shard.take_retirements(&mut retire_buf);
-            for r in &retire_buf {
-                ctx.committed.fetch_sub(r.rate, Ordering::Relaxed);
-            }
-            retired_sink
-                .lock()
-                .expect("retirement sink poisoned")
-                .append(&mut retire_buf);
-            ctx.idle.bump();
-            ctx.telemetry
-                .retire
-                .record(retire_started.elapsed().as_nanos() as u64);
-        }
-        if let Some(period) = period_ns {
-            if nanos > period {
-                ctx.telemetry.slot_overruns.inc();
-            }
+        ctx.publish(&mut shard);
+        if period_ns.is_some_and(|period| nanos > period) {
+            ctx.telemetry.slot_overruns.inc();
         }
         let outcome = clock.pace();
         if outcome.missed {
@@ -429,59 +410,27 @@ fn worker(
                 .record(outcome.lateness.as_nanos().min(u64::MAX as u128) as u64);
         }
     }
-    // Flush anything the final slots produced.
-    if shard.has_retirements() {
-        shard.take_retirements(&mut retire_buf);
-        for r in &retire_buf {
-            ctx.committed.fetch_sub(r.rate, Ordering::Relaxed);
-        }
-        retired_sink
-            .lock()
-            .expect("retirement sink poisoned")
-            .append(&mut retire_buf);
-    }
-    shared
-        .sessions
-        .store(shard.sessions() as u64, Ordering::Relaxed);
-    shared.slots.store(shard.now(), Ordering::Relaxed);
-    shared
-        .played
-        .store(shard.stats().played_slices, Ordering::Relaxed);
-    ctx.telemetry.sessions.set(shard.sessions() as u64);
-    ctx.telemetry.slots.add(shard.stats().slots - prev_slots);
-    ctx.telemetry
-        .played_slices
-        .add(shard.stats().played_slices - prev_played);
-    ctx.telemetry
-        .sent_bytes
-        .add(shard.stats().sent_bytes - prev_sent);
-    ctx.idle.bump();
+    ctx.publish(&mut shard);
     shard
 }
 
 /// Applies one command; records a stop request in `ctx.stop`.
 fn apply(shard: &mut Shard, cmd: Command, ctx: &mut WorkerCtx) {
     match cmd {
-        Command::Admit { id, req, source } => {
-            let admitted = match source {
-                Some(src) => shard.admit_with_source(id, &req, src),
-                None => shard.admit(id, &req),
-            };
-            debug_assert!(
-                admitted.is_ok(),
-                "control plane pre-checked admission: {admitted:?}"
-            );
-        }
-        Command::AdmitBatch {
+        Command::Admit {
             first_id,
             count,
             req,
+            mut source,
         } => {
-            for k in 0..count as u64 {
-                let admitted = shard.admit(first_id + k, &req);
+            for id in first_id..first_id + u64::from(count) {
+                let admitted = match source.take() {
+                    Some(src) => shard.admit_with_source(id, &req, src),
+                    None => shard.admit(id, &req),
+                };
                 debug_assert!(
                     admitted.is_ok(),
-                    "control plane pre-checked batch admission: {admitted:?}"
+                    "control plane pre-checked admission: {admitted:?}"
                 );
             }
         }
@@ -609,6 +558,28 @@ fn reimport(shard: &mut Shard, session: LiveSession) {
     }
 }
 
+/// The rate `req` reserves, once it passes the `B = R·D` feasibility
+/// check.
+fn reserved_rate(req: &AdmitRequest) -> Result<Bytes, RejectReason> {
+    let params = Shard::params_of(req)?;
+    if params.buffer > params.delay_bandwidth_product() {
+        return Err(RejectReason::Infeasible);
+    }
+    Ok(params.rate)
+}
+
+/// The placement rule, for admissions and [`Daemon::restore`] alike:
+/// the shard with the widest residual bookable rate that still fits
+/// `rate`, ties to the lower index. `None` when no shard fits.
+fn place(residuals: impl IntoIterator<Item = Bytes>, rate: Bytes) -> Option<usize> {
+    residuals
+        .into_iter()
+        .enumerate()
+        .filter(|&(_, r)| r >= rate)
+        .min_by_key(|&(_, r)| std::cmp::Reverse(r))
+        .map(|(i, _)| i)
+}
+
 /// Handle to a running daemon: admissions, data plane, stats, and
 /// shutdown. All methods take `&mut self`; wrap in a `Mutex` to share
 /// with listener threads (control operations are short).
@@ -620,6 +591,7 @@ pub struct Daemon {
     bookable_per_shard: Bytes,
     retired_sessions: u64,
     events: Vec<Event>,
+    retired: Arc<Mutex<Vec<Retirement>>>,
     retire_scratch: Vec<Retirement>,
     registry: Arc<Registry>,
     migrated: Arc<Mutex<Vec<MigrationRecord>>>,
@@ -640,6 +612,7 @@ impl Daemon {
             .admission()
             .bookable_capacity();
         let registry = Arc::new(Registry::new(cfg.shards as usize));
+        let retired = Arc::new(Mutex::new(Vec::new()));
         let migrated = Arc::new(Mutex::new(Vec::new()));
         let idle = Arc::new(IdleSignal::default());
         let handles = (0..cfg.shards)
@@ -647,31 +620,26 @@ impl Daemon {
                 let shard = Shard::new(i, cfg.shard_link_rate, cfg.overbook);
                 let (tx, rx) = mpsc::sync_channel(cfg.queue_capacity.max(1));
                 let committed = Arc::new(AtomicU64::new(0));
-                let shared = Arc::new(SharedShard::default());
-                let retired = Arc::new(Mutex::new(Vec::new()));
-                let join = {
-                    let committed = Arc::clone(&committed);
-                    let shared = Arc::clone(&shared);
-                    let retired = Arc::clone(&retired);
-                    let telemetry = registry.shard(i as usize);
-                    let migrated = Arc::clone(&migrated);
-                    let idle = Arc::clone(&idle);
-                    let pacing = cfg.pacing;
-                    std::thread::Builder::new()
-                        .name(format!("smoothd-shard-{i}"))
-                        .spawn(move || {
-                            worker(
-                                shard, rx, committed, shared, retired, telemetry, migrated,
-                                idle, pacing,
-                            )
-                        })
-                        .expect("spawn shard worker")
+                let telemetry = registry.shard(i as usize);
+                let ctx = WorkerCtx {
+                    committed: Arc::clone(&committed),
+                    telemetry: Arc::clone(&telemetry),
+                    retired: Arc::clone(&retired),
+                    migrated: Arc::clone(&migrated),
+                    idle: Arc::clone(&idle),
+                    stop: None,
+                    retire_buf: Vec::new(),
+                    published: (0, 0, 0),
                 };
+                let pacing = cfg.pacing;
+                let join = std::thread::Builder::new()
+                    .name(format!("smoothd-shard-{i}"))
+                    .spawn(move || worker(shard, rx, ctx, pacing))
+                    .expect("spawn shard worker");
                 ShardHandle {
                     tx,
                     committed,
-                    shared,
-                    retired,
+                    telemetry,
                     join,
                 }
             })
@@ -685,6 +653,7 @@ impl Daemon {
             bookable_per_shard: bookable,
             retired_sessions: 0,
             events: Vec::new(),
+            retired,
             retire_scratch: Vec::new(),
             registry,
             migrated,
@@ -713,119 +682,131 @@ impl Daemon {
         out.append(&mut self.events);
     }
 
-    /// Routes by measured shard cost: projects each shard's next slot
-    /// time as `sessions · μ` where `μ` is the measured per-session
-    /// slot cost (last published `process_slot` nanoseconds divided by
-    /// resident sessions), and picks the candidate whose projection
-    /// after taking `pending[i]` more sessions is smallest. Shards
-    /// whose residual bookable rate cannot fit `rate` are skipped. An
-    /// idle shard borrows the cheapest measured μ so it is preferred
-    /// exactly when it would finish first, and the projection
-    /// degenerates to least-session-count when every μ is equal.
-    fn route(&self, rate: Bytes, pending: &[u64]) -> Option<u32> {
-        let mut min_mu = u64::MAX;
-        for h in &self.handles {
-            let live = h.shared.sessions.load(Ordering::Relaxed);
-            let ns = h.shared.slot_ns.load(Ordering::Relaxed);
-            if let Some(mu) = ns.checked_div(live) {
-                min_mu = min_mu.min(mu.max(1));
-            }
-        }
-        if min_mu == u64::MAX {
-            min_mu = 1; // no shard has measured anything yet
-        }
-        let mut best: Option<(u32, u128)> = None;
-        for (i, h) in self.handles.iter().enumerate() {
-            let committed = h.committed.load(Ordering::Relaxed);
-            let residual = self.bookable_per_shard.saturating_sub(committed);
-            if residual < rate {
-                continue;
-            }
-            let live = h.shared.sessions.load(Ordering::Relaxed);
-            let mu = h
-                .shared
-                .slot_ns
-                .load(Ordering::Relaxed)
-                .checked_div(live)
-                .map_or(min_mu, |m| m.max(1));
-            let projected = (live + pending[i] + 1) as u128 * mu as u128;
-            if best.map(|(_, c)| projected < c).unwrap_or(true) {
-                best = Some((i as u32, projected));
-            }
-        }
-        best.map(|(i, _)| i)
+    /// Residual bookable rate on `h`'s committed-rate mirror.
+    fn residual(&self, h: &ShardHandle) -> Bytes {
+        self.bookable_per_shard
+            .saturating_sub(h.committed.load(Ordering::Relaxed))
     }
 
-    /// Picks a shard by measured cost and reserves `rate` on its
-    /// mirror.
-    fn reserve(&mut self, rate: Bytes) -> Option<u32> {
-        let pending = vec![0u64; self.handles.len()];
-        let shard = self.route(rate, &pending)?;
-        self.handles[shard as usize]
-            .committed
-            .fetch_add(rate, Ordering::Relaxed);
-        Some(shard)
-    }
-
-    fn admit_inner(
+    /// The one admission path: validates `req` once, then admits up to
+    /// `count` sessions chunk by chunk until done or refused, and
+    /// records the refusal when none was admitted. Returns the first
+    /// id, how many were admitted, and the last chunk's shard.
+    fn admit_sessions(
         &mut self,
         req: &AdmitRequest,
-        source: Option<ArrivalSource>,
+        count: u64,
+        mut source: Option<ArrivalSource>,
+        pinned: Option<u32>,
         blocking: bool,
-    ) -> Result<(SessionId, u32), RejectReason> {
-        let params = Shard::params_of(req)?;
-        if params.buffer > params.delay_bandwidth_product() {
-            return Err(RejectReason::Infeasible);
-        }
-        let Some(shard) = self.reserve(params.rate) else {
-            return Err(RejectReason::Capacity);
-        };
-        let id = self.next_id;
-        let cmd = Command::Admit {
-            id,
-            req: *req,
-            source,
-        };
-        let h = &self.handles[shard as usize];
-        if blocking {
-            if h.tx.send(cmd).is_err() {
-                h.committed.fetch_sub(params.rate, Ordering::Relaxed);
-                return Err(RejectReason::Backpressure);
-            }
-        } else {
-            match h.tx.try_send(cmd) {
-                Ok(()) => {}
-                Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {
-                    h.committed.fetch_sub(params.rate, Ordering::Relaxed);
-                    return Err(RejectReason::Backpressure);
+    ) -> Result<(SessionId, u64, u32), RejectReason> {
+        let first = self.next_id;
+        let mut shard = 0;
+        let mut refusal = RejectReason::Capacity;
+        match reserved_rate(req) {
+            Err(reason) => refusal = reason,
+            Ok(rate) => {
+                // Directory room for all the mirror can still take, made
+                // once, so a batch never rehashes the directory.
+                let fits: u64 = self.handles.iter().map(|h| self.residual(h) / rate).sum();
+                self.directory.reserve(count.min(fits) as usize);
+                while self.next_id - first < count {
+                    let wanted = count - (self.next_id - first);
+                    match self.admit_chunk(req, rate, wanted, source.take(), pinned, blocking) {
+                        Ok(s) => shard = s,
+                        Err(reason) => {
+                            refusal = reason;
+                            break;
+                        }
+                    }
                 }
             }
         }
-        self.next_id += 1;
-        self.directory.insert(id, shard);
-        let time = self.handles[shard as usize]
-            .shared
-            .slots
-            .load(Ordering::Relaxed);
-        self.record(Event::SessionJoined {
+        let admitted = self.next_id - first;
+        if admitted > 0 {
+            return Ok((first, admitted, shard));
+        }
+        let time = self.max_slots();
+        self.record(Event::IngestRejected {
             time,
-            session: id,
-            shard,
-            rate: params.rate,
+            session: 0,
+            reason: refusal,
         });
-        Ok((id, shard))
+        self.registry.record_reject(refusal);
+        Err(refusal)
+    }
+
+    /// Admits one chunk of at most [`CHUNK`] of `wanted` sessions on
+    /// `pinned` or else the [`place`]d shard: reserves the chunk's rate
+    /// on the mirror, sends one [`Command::Admit`] (waiting on a full
+    /// queue only when `blocking`), and records the joins. Returns the
+    /// shard.
+    fn admit_chunk(
+        &mut self,
+        req: &AdmitRequest,
+        rate: Bytes,
+        wanted: u64,
+        source: Option<ArrivalSource>,
+        pinned: Option<u32>,
+        blocking: bool,
+    ) -> Result<u32, RejectReason> {
+        let shard = match pinned {
+            Some(s) if s as usize >= self.handles.len() => {
+                return Err(RejectReason::UnknownSession)
+            }
+            Some(s) => s as usize,
+            None => place(self.handles.iter().map(|h| self.residual(h)), rate)
+                .ok_or(RejectReason::Capacity)?,
+        };
+        let h = &self.handles[shard];
+        let chunk = wanted.min(CHUNK).min(self.residual(h) / rate);
+        if chunk == 0 {
+            return Err(RejectReason::Capacity);
+        }
+        h.committed.fetch_add(rate * chunk, Ordering::Relaxed);
+        let cmd = Command::Admit {
+            first_id: self.next_id,
+            count: chunk as u32,
+            req: *req,
+            source,
+        };
+        let sent = if blocking {
+            h.tx.send(cmd).is_ok()
+        } else {
+            h.tx.try_send(cmd).is_ok()
+        };
+        if !sent {
+            h.committed.fetch_sub(rate * chunk, Ordering::Relaxed);
+            return Err(RejectReason::Backpressure);
+        }
+        let ids = self.next_id..self.next_id + chunk;
+        let shard = shard as u32;
+        if self.cfg.record_events {
+            let time = h.telemetry.slots.get();
+            self.events.extend(ids.clone().map(|session| Event::SessionJoined {
+                time,
+                session,
+                shard,
+                rate,
+            }));
+        }
+        self.directory.extend(ids.map(|id| (id, shard)));
+        self.next_id += chunk;
+        Ok(shard)
     }
 
     /// Admits a session, blocking while the target shard's queue is
     /// full (loader / benchmark path).
     pub fn admit(&mut self, req: &AdmitRequest) -> Result<(SessionId, u32), RejectReason> {
-        self.admit_with_outcome(req, None, true)
+        self.admit_sessions(req, 1, None, None, true)
+            .map(|(id, _, shard)| (id, shard))
     }
 
     /// Admits without blocking; a full queue rejects with
     /// [`RejectReason::Backpressure`] (ingest path).
     pub fn try_admit(&mut self, req: &AdmitRequest) -> Result<(SessionId, u32), RejectReason> {
-        self.admit_with_outcome(req, None, false)
+        self.admit_sessions(req, 1, None, None, false)
+            .map(|(id, _, shard)| (id, shard))
     }
 
     /// Admits with an explicit arrival source (trace replay).
@@ -834,143 +815,35 @@ impl Daemon {
         req: &AdmitRequest,
         source: ArrivalSource,
     ) -> Result<(SessionId, u32), RejectReason> {
-        self.admit_with_outcome(req, Some(source), true)
+        self.admit_sessions(req, 1, Some(source), None, true)
+            .map(|(id, _, shard)| (id, shard))
     }
 
-    /// Admits one session onto an explicit shard, bypassing the cost
-    /// router (load-testing hook: benches and tests use it to build
+    /// Admits one session onto an explicit shard instead of the placed
+    /// one (load-testing hook: benches and tests use it to build
     /// deliberately skewed populations for the rebalancer to fix).
     pub fn admit_pinned(
         &mut self,
         req: &AdmitRequest,
         shard: u32,
     ) -> Result<SessionId, RejectReason> {
-        let params = Shard::params_of(req)?;
-        if params.buffer > params.delay_bandwidth_product() {
-            return Err(RejectReason::Infeasible);
-        }
-        let h = self
-            .handles
-            .get(shard as usize)
-            .ok_or(RejectReason::UnknownSession)?;
-        let committed = h.committed.load(Ordering::Relaxed);
-        if self.bookable_per_shard.saturating_sub(committed) < params.rate {
-            return Err(RejectReason::Capacity);
-        }
-        h.committed.fetch_add(params.rate, Ordering::Relaxed);
-        let id = self.next_id;
-        let cmd = Command::Admit {
-            id,
-            req: *req,
-            source: None,
-        };
-        if self.handles[shard as usize].tx.send(cmd).is_err() {
-            self.handles[shard as usize]
-                .committed
-                .fetch_sub(params.rate, Ordering::Relaxed);
-            return Err(RejectReason::Backpressure);
-        }
-        self.next_id += 1;
-        self.directory.insert(id, shard);
-        Ok(id)
+        self.admit_sessions(req, 1, None, Some(shard), true)
+            .map(|(id, _, _)| id)
     }
 
     /// Admits up to `count` identical sessions through the batched
-    /// path: ids are consecutive from the returned first id, placement
-    /// routes whole chunks by measured shard cost, and each chunk
-    /// costs one bounded-queue push instead of one per session.
-    /// Returns how many were actually admitted (capacity may truncate;
-    /// zero admissions reject with the blocking reason).
+    /// path: ids are consecutive from the returned first id, each chunk
+    /// of up to 1024 sessions is placed like one admission, and costs
+    /// one bounded-queue push instead of one per session. Returns how
+    /// many were actually admitted (capacity may truncate; zero
+    /// admissions reject with the blocking reason).
     pub fn admit_batch(
         &mut self,
         req: &AdmitRequest,
         count: u64,
     ) -> Result<BatchAdmission, RejectReason> {
-        let params = Shard::params_of(req)?;
-        if params.buffer > params.delay_bandwidth_product() {
-            return Err(RejectReason::Infeasible);
-        }
-        let first = self.next_id;
-        let mut admitted = 0u64;
-        let mut pending = vec![0u64; self.handles.len()];
-        // Chunks small enough to spread across shards, large enough to
-        // amortize the queue crossing.
-        const CHUNK: u64 = 1024;
-        let mut reject = RejectReason::Capacity;
-        while admitted < count {
-            let Some(shard) = self.route(params.rate, &pending) else {
-                break;
-            };
-            let h = &self.handles[shard as usize];
-            let committed = h.committed.load(Ordering::Relaxed);
-            let residual = self.bookable_per_shard.saturating_sub(committed);
-            let chunk = (count - admitted).min(CHUNK).min(residual / params.rate);
-            if chunk == 0 {
-                break;
-            }
-            h.committed
-                .fetch_add(params.rate * chunk, Ordering::Relaxed);
-            let cmd = Command::AdmitBatch {
-                first_id: self.next_id,
-                count: chunk as u32,
-                req: *req,
-            };
-            if h.tx.send(cmd).is_err() {
-                h.committed
-                    .fetch_sub(params.rate * chunk, Ordering::Relaxed);
-                reject = RejectReason::Backpressure;
-                break;
-            }
-            let time = h.shared.slots.load(Ordering::Relaxed);
-            for k in 0..chunk {
-                self.directory.insert(self.next_id + k, shard);
-            }
-            if self.cfg.record_events {
-                for k in 0..chunk {
-                    self.events.push(Event::SessionJoined {
-                        time,
-                        session: self.next_id + k,
-                        shard,
-                        rate: params.rate,
-                    });
-                }
-            }
-            self.next_id += chunk;
-            pending[shard as usize] += chunk;
-            admitted += chunk;
-        }
-        if admitted == 0 {
-            let time = self.max_slots();
-            self.record(Event::IngestRejected {
-                time,
-                session: 0,
-                reason: reject,
-            });
-            self.registry.record_reject(reject);
-            return Err(reject);
-        }
-        Ok(BatchAdmission { first, admitted })
-    }
-
-    fn admit_with_outcome(
-        &mut self,
-        req: &AdmitRequest,
-        source: Option<ArrivalSource>,
-        blocking: bool,
-    ) -> Result<(SessionId, u32), RejectReason> {
-        match self.admit_inner(req, source, blocking) {
-            Ok(ok) => Ok(ok),
-            Err(reason) => {
-                let time = self.max_slots();
-                self.record(Event::IngestRejected {
-                    time,
-                    session: 0,
-                    reason,
-                });
-                self.registry.record_reject(reason);
-                Err(reason)
-            }
-        }
+        self.admit_sessions(req, count, None, None, true)
+            .map(|(first, admitted, _)| BatchAdmission { first, admitted })
     }
 
     fn shard_of(&self, id: SessionId) -> Result<u32, RejectReason> {
@@ -1018,9 +891,9 @@ impl Daemon {
 
     /// Harvests completed migrations: repoints directory entries and
     /// bumps the daemon-wide counters. Ordered before the retirement
-    /// harvest inside [`Daemon::poll`] — a record for a session whose
-    /// retirement was already harvested is skipped (the directory
-    /// presence check), never resurrected.
+    /// harvest — a record for a session whose retirement was already
+    /// harvested is skipped (the directory presence check), never
+    /// resurrected.
     fn harvest_migrations(&mut self) -> u64 {
         let mut records = self.migrated.lock().expect("migration sink poisoned");
         if records.is_empty() {
@@ -1039,6 +912,29 @@ impl Daemon {
         n
     }
 
+    /// The retirement half of [`Daemon::poll`], also run at shutdown.
+    fn harvest_retirements(&mut self) -> u64 {
+        let mut harvested = std::mem::take(&mut self.retire_scratch);
+        std::mem::swap(
+            &mut harvested,
+            &mut *self.retired.lock().expect("retirement sink poisoned"),
+        );
+        let n = harvested.len() as u64;
+        self.retired_sessions += n;
+        self.registry.retired.add(n);
+        for r in harvested.drain(..) {
+            self.directory.remove(&r.session);
+            self.record(Event::SessionRetired {
+                time: r.slot,
+                session: r.session,
+                shard: r.shard,
+                reason: r.cause,
+            });
+        }
+        self.retire_scratch = harvested;
+        n
+    }
+
     /// Harvests worker retirements: updates the directory, counts
     /// them, and records `SessionRetired` events. Returns how many
     /// sessions retired since the last poll. Also drives the
@@ -1050,44 +946,21 @@ impl Daemon {
         {
             self.rebalance_now();
         }
-        let mut harvested = std::mem::take(&mut self.retire_scratch);
-        harvested.clear();
-        for h in &self.handles {
-            let mut sink = h.retired.lock().expect("retirement sink poisoned");
-            harvested.append(&mut sink);
-        }
-        let n = harvested.len() as u64;
-        self.retired_sessions += n;
-        self.registry.retired.add(n);
-        let events_on = self.cfg.record_events;
-        for r in &harvested {
-            self.directory.remove(&r.session);
-            if events_on {
-                self.events.push(Event::SessionRetired {
-                    time: r.slot,
-                    session: r.session,
-                    shard: r.shard,
-                    reason: r.cause,
-                });
-            }
-        }
-        harvested.clear();
-        self.retire_scratch = harvested;
-        n
+        self.harvest_retirements()
     }
 
     /// Live session count as published by the workers.
     pub fn live_sessions(&self) -> u64 {
         self.handles
             .iter()
-            .map(|h| h.shared.sessions.load(Ordering::Relaxed))
+            .map(|h| h.telemetry.sessions.get())
             .sum()
     }
 
     fn max_slots(&self) -> Time {
         self.handles
             .iter()
-            .map(|h| h.shared.slots.load(Ordering::Relaxed))
+            .map(|h| h.telemetry.slots.get())
             .max()
             .unwrap_or(0)
     }
@@ -1099,7 +972,7 @@ impl Daemon {
             slices_played: self
                 .handles
                 .iter()
-                .map(|h| h.shared.played.load(Ordering::Relaxed))
+                .map(|h| h.telemetry.played_slices.get())
                 .sum(),
             slots: self.max_slots(),
             retired: self.retired_sessions,
@@ -1196,8 +1069,9 @@ impl Daemon {
     }
 
     /// Restores every session from `bytes` (a [`Daemon::snapshot`]
-    /// image) into this daemon, routing each through the measured-cost
-    /// placement and reserving its rate before the worker sees it.
+    /// image) into this daemon, placing each by the admission rule (the
+    /// widest residual bookable rate that fits, ties to the lower shard)
+    /// and reserving its rate before the worker sees it.
     /// All-or-nothing: a torn or corrupt snapshot, a duplicate or
     /// already-resident session id, or a population this daemon cannot
     /// book refuses the whole restore with a typed error and admits
@@ -1210,41 +1084,26 @@ impl Daemon {
                 return Err(SnapshotError::Malformed("duplicate session id"));
             }
         }
-        // Plan the full placement against a local residual mirror
-        // before moving anything: widest residual first keeps the plan
-        // feasible whenever any assignment is.
-        let mut residual: Vec<Bytes> = self
-            .handles
-            .iter()
-            .map(|h| {
-                self.bookable_per_shard
-                    .saturating_sub(h.committed.load(Ordering::Relaxed))
-            })
-            .collect();
+        // Plan the full placement against a local copy of the mirror
+        // before moving anything, so a refused plan admits nothing.
+        let mut residual: Vec<Bytes> = self.handles.iter().map(|h| self.residual(h)).collect();
         let mut placement = Vec::with_capacity(sessions.len());
         for s in &sessions {
-            let Some((shard, _)) = residual
-                .iter()
-                .enumerate()
-                .filter(|&(_, r)| *r >= s.rate())
-                .max_by_key(|&(_, r)| *r)
-            else {
-                return Err(SnapshotError::Capacity { rate: s.rate() });
-            };
+            let shard = place(residual.iter().copied(), s.rate())
+                .ok_or(SnapshotError::Capacity { rate: s.rate() })?;
             residual[shard] -= s.rate();
-            placement.push(shard as u32);
+            placement.push(shard);
         }
         let count = sessions.len() as u64;
         for (s, &shard) in sessions.into_iter().zip(&placement) {
             let id = s.id();
-            let rate = s.rate();
-            let h = &self.handles[shard as usize];
-            h.committed.fetch_add(rate, Ordering::Relaxed);
+            let h = &self.handles[shard];
+            h.committed.fetch_add(s.rate(), Ordering::Relaxed);
             h.tx.send(Command::Import {
                 session: Box::new(s),
             })
             .expect("shard worker hung up during restore");
-            self.directory.insert(id, shard);
+            self.directory.insert(id, shard as u32);
             self.next_id = self.next_id.max(id + 1);
         }
         self.registry.restored_sessions.add(count);
@@ -1365,35 +1224,15 @@ impl Daemon {
             // Blocking send: Stop must arrive even on a full queue.
             let _ = h.tx.send(Command::Stop { drain });
         }
-        self.harvest_migrations();
         let mut shards = Vec::with_capacity(self.handles.len());
         let mut totals = SessionCounters::default();
         let mut latency = LogHistogram::new();
-        let events_on = self.cfg.record_events;
-        let handles = std::mem::take(&mut self.handles);
-        for h in handles {
+        for h in std::mem::take(&mut self.handles) {
             drop(h.tx);
             let shard = h.join.join().expect("shard worker panicked");
-            // Final harvest for events and the directory.
-            let mut sink = h.retired.lock().expect("retirement sink poisoned");
-            for r in sink.drain(..) {
-                self.retired_sessions += 1;
-                self.registry.retired.inc();
-                self.directory.remove(&r.session);
-                if events_on {
-                    self.events.push(Event::SessionRetired {
-                        time: r.slot,
-                        session: r.session,
-                        shard: r.shard,
-                        reason: r.cause,
-                    });
-                }
-            }
-            drop(sink);
             let counters = shard.totals();
             totals.add(&counters);
             latency.merge(&shard.stats().latency);
-            let telemetry = self.registry.shard(shard.id() as usize);
             shards.push(ShardReport {
                 id: shard.id(),
                 slots: shard.stats().slots,
@@ -1402,13 +1241,14 @@ impl Daemon {
                 max_slot_sent: shard.stats().max_slot_sent,
                 peak_sessions: shard.stats().peak_sessions,
                 latency: shard.stats().latency.clone(),
-                deadline_misses: telemetry.deadline_misses.get(),
-                slot_overruns: telemetry.slot_overruns.get(),
+                deadline_misses: h.telemetry.deadline_misses.get(),
+                slot_overruns: h.telemetry.slot_overruns.get(),
             });
         }
-        // Exports applied between the Stop send and the worker joins
-        // can still have produced records; count them all.
+        // Every worker has handed over its last migrations and
+        // retirements; count them all for events and the directory.
         self.harvest_migrations();
+        self.harvest_retirements();
         DaemonReport {
             shards,
             totals,
@@ -1639,6 +1479,90 @@ mod tests {
     }
 
     #[test]
+    fn back_to_back_batches_split_across_shards() {
+        // 2 shards x link 64, rate 4: each batch of 8 fits either shard,
+        // and the second must see the first's reservation at once.
+        let mut d = Daemon::start(small_config(2, 64));
+        let req = cbr_request(4, 0);
+        for _ in 0..2 {
+            assert_eq!(d.admit_batch(&req, 8).unwrap().admitted, 8);
+        }
+        let mut events = Vec::new();
+        d.take_events(&mut events);
+        let mut joined = [0; 2];
+        for e in &events {
+            if let Event::SessionJoined { shard, .. } = e {
+                joined[*shard as usize] += 1;
+            }
+        }
+        assert_eq!(joined, [8, 8]);
+        // Sequential admissions alternate on the now-even mirror.
+        let shards: Vec<u32> = (0..4).map(|_| d.admit(&req).unwrap().1).collect();
+        assert_eq!(shards, vec![0, 1, 0, 1]);
+        let report = d.shutdown(false);
+        assert_eq!(report.retired_sessions, 20);
+        assert!(report.totals.conserved(), "{:?}", report.totals);
+    }
+
+    #[test]
+    fn placement_takes_the_widest_fitting_residual_ties_low() {
+        assert_eq!(place([8, 16, 16], 4), Some(1));
+        assert_eq!(place([16, 8, 16], 4), Some(0));
+        assert_eq!(place([3, 7, 5], 6), Some(1));
+        assert_eq!(place([3, 7, 5], 8), None);
+        assert_eq!(place([], 1), None);
+    }
+
+    #[test]
+    fn evicting_the_last_session_releases_its_rate() {
+        let mut d = Daemon::start(small_config(1, 8));
+        let (id, _) = d.admit(&cbr_request(8, 0)).unwrap();
+        std::thread::sleep(Duration::from_millis(20));
+        d.evict(id).unwrap();
+        // The emptied shard parks idle; its hand-off must not wait for
+        // a slot that never comes.
+        assert!(d.wait_idle(Duration::from_secs(2)), "eviction never landed");
+        d.admit(&cbr_request(8, 4)).expect("the evicted rate came back");
+        assert!(d.wait_idle(Duration::from_secs(20)));
+        let report = d.shutdown(true);
+        assert_eq!(report.retired_sessions, 2);
+        assert!(report.totals.conserved(), "{:?}", report.totals);
+    }
+
+    #[test]
+    fn pinned_admissions_are_traced_and_their_refusals_counted() {
+        let mut d = Daemon::start(small_config(2, 8));
+        let id = d.admit_pinned(&cbr_request(8, 0), 1).unwrap();
+        assert_eq!(
+            d.admit_pinned(&cbr_request(4, 0), 1),
+            Err(RejectReason::Capacity)
+        );
+        assert_eq!(
+            d.admit_pinned(&cbr_request(4, 0), 2),
+            Err(RejectReason::UnknownSession)
+        );
+        let mut events = Vec::new();
+        d.take_events(&mut events);
+        assert!(events.iter().any(|e| matches!(
+            e,
+            Event::SessionJoined { session, shard: 1, rate: 8, .. } if *session == id
+        )));
+        let refused: Vec<RejectReason> = events
+            .iter()
+            .filter_map(|e| match e {
+                Event::IngestRejected { reason, .. } => Some(*reason),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            refused,
+            vec![RejectReason::Capacity, RejectReason::UnknownSession]
+        );
+        assert_eq!(d.registry().rejects().iter().sum::<u64>(), 2);
+        d.shutdown(false);
+    }
+
+    #[test]
     fn rebalancer_migrates_a_skewed_population_without_losing_bytes() {
         let mut cfg = small_config(2, 256);
         cfg.rebalance = RebalanceConfig {
@@ -1666,6 +1590,11 @@ mod tests {
             d.poll();
             std::thread::sleep(Duration::from_millis(1));
         }
+        // `migrations()` counts the donor's sends; the receiver's gauge
+        // moves once the receiver has applied the imports.
+        while d.registry().shard(1).sessions.get() == 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
         assert!(d.migrations() >= 1, "no migration completed");
         let detail = d.stats_detail();
         assert!(detail.migrations >= 1);
@@ -1690,6 +1619,13 @@ mod tests {
                 d.admit_pinned(&req, shard).unwrap();
             }
         }
+        // Read the costs once both workers have applied their admits,
+        // or one shard's gauge can lead the other's.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while (0..2).any(|i| d.registry().shard(i).sessions.get() < 8) && Instant::now() < deadline
+        {
+            std::thread::sleep(Duration::from_millis(1));
+        }
         // Hysteresis: equal costs are left alone.
         assert_eq!(d.rebalance_now(), 0);
         assert_eq!(d.migrations(), 0);
@@ -1708,7 +1644,12 @@ mod tests {
         std::thread::sleep(Duration::from_millis(10));
         let (n, bytes) = d.snapshot();
         assert_eq!(n, 8, "all resident sessions checkpointed");
-        // The source daemon keeps running; the checkpoint is passive.
+        // The source daemon keeps running; the checkpoint is passive. A
+        // worker publishes its gauge after the drain that answered.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while d.live_sessions() < 8 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
         assert_eq!(d.live_sessions(), 8);
 
         let mut restored = Daemon::start(small_config(2, 64));

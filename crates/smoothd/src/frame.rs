@@ -291,8 +291,9 @@ pub enum Frame {
         shard: u32,
     },
     /// Batch admission succeeded: ids are `first_session ..
-    /// first_session + count` (contiguous), spread across shards by
-    /// measured cost.
+    /// first_session + count` (contiguous), spread across shards chunk
+    /// by chunk, each chunk on the shard with the widest residual
+    /// bookable rate.
     AdmittedBatch {
         /// First assigned session id.
         first_session: u64,

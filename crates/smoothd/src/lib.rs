@@ -12,10 +12,11 @@
 //! * [`Shard`] — a disjoint session set plus one admission-guarded
 //!   link, stepped slot-by-slot with zero steady-state allocation
 //!   (shard-owned scratch, ring-buffer playout clients).
-//! * [`Daemon`] — spawns one worker thread per shard, routes
-//!   admissions to the least-loaded shard, applies backpressure with
-//!   typed reject reasons when a shard's command queue fills, and
-//!   merges per-shard reports at shutdown.
+//! * [`Daemon`] — spawns one worker thread per shard, places each
+//!   admission on the shard with the widest residual bookable rate (a
+//!   mirror of committed rate the control plane books itself), applies
+//!   backpressure with typed reject reasons when a shard's command
+//!   queue fills, and merges per-shard reports at shutdown.
 //! * the frame codec — the length-prefixed ingest protocol
 //!   ([`decode_frame`] / [`encode_frame`]), total over arbitrary
 //!   bytes: every malformed input is a typed [`FrameError`], never a

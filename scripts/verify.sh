@@ -27,4 +27,9 @@ cargo test -q --release --test buffer_diff
 ./target/release/smoothctl check --cases 200 --seed 1 > /tmp/rts_check_b.txt
 cmp /tmp/rts_check_a.txt /tmp/rts_check_b.txt
 
-echo "verify: build, tests, clippy, buffer differential, bench smoke, and check catalog all clean"
+# Behaviour goldens: the check report, CI's fault-injection simulate
+# and wfq/greedy mux outputs, and every all_figures output, regenerated
+# and compared byte for byte with their committed copies.
+./scripts/goldens.sh
+
+echo "verify: build, tests, clippy, buffer differential, bench smoke, check catalog, and goldens all clean"

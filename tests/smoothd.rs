@@ -445,9 +445,9 @@ fn skewed_tcp_run(rebalance: bool) -> (rts_smoothd::DaemonReport, u64) {
     let mut client = Client::connect(server.local_addr().unwrap());
     client.hello();
 
-    // Build the skew with the pinning hook (the cost router would
-    // spread wire admissions evenly, which is the point of it); the
-    // run itself — data, stats, drains — is all wire traffic.
+    // Build the skew with the pinning hook (placement would spread
+    // wire admissions evenly, which is the point of it); the run
+    // itself — data, stats, drains — is all wire traffic.
     let target = 0u32;
     let fed: Vec<u64> = {
         let mut d = shared.lock().expect("daemon mutex");
