@@ -157,18 +157,7 @@ fn rung_config(sessions: u64, shards: u32, skewed: bool) -> DaemonConfig {
         },
         queue_capacity: 4096,
         record_events: false,
-        rebalance: if skewed {
-            RebalanceConfig {
-                enabled: true,
-                // Tight cadence and big batches: the bench wants the
-                // population level before the window opens.
-                interval: Duration::from_millis(5),
-                max_moves: 2048,
-                ..RebalanceConfig::default()
-            }
-        } else {
-            RebalanceConfig::default()
-        },
+        rebalance: RebalanceConfig { enabled: skewed },
         ..DaemonConfig::default()
     }
 }
@@ -227,8 +216,8 @@ fn measure_rung(
     let s0 = daemon.stats();
     let t0 = Instant::now();
     if skewed {
-        // Keep the control plane polling so in-flight migrations keep
-        // harvesting while the window runs.
+        // Keep the control plane polling, as a serving daemon does, so
+        // the rebalancer stays live while the window runs.
         while t0.elapsed() < window {
             std::thread::sleep(Duration::from_millis(10));
             daemon.poll();

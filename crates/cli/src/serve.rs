@@ -149,11 +149,9 @@ pub(crate) fn serve_cmd(args: &Args) -> Result<String, CliError> {
         },
         record_events: args.opt("trace-out").is_some(),
         overbook,
-        // --rebalance true turns on skew-aware migration with the
-        // default hysteresis constants.
+        // --rebalance true turns on skew-aware migration.
         rebalance: RebalanceConfig {
             enabled: args.opt("rebalance") == Some("true"),
-            ..RebalanceConfig::default()
         },
         ..DaemonConfig::default()
     };

@@ -19,6 +19,14 @@
 //! when a command is sent, not when a worker gets to it, so
 //! back-to-back admissions see each other and spread across shards.
 //!
+//! The rebalancer prices shards on the same mirror: a shard's booked
+//! rate, weighted by its recent deadline-miss rate. Past a 1.5× spread
+//! the control plane asks the dearest shard for sessions worth up to
+//! half the booked gap, waits for them, and places each one with the
+//! admission rule. A moved session, like a restored one, reaches its new
+//! shard as a [`Command::Import`] queued ahead of any later command, so
+//! no inject, drain or snapshot can miss it.
+//!
 //! Admission control happens twice, deliberately:
 //!
 //! 1. The control plane performs the `B = R·D` feasibility and the
@@ -53,41 +61,21 @@ use crate::session::{ArrivalSource, LiveSession, SessionCounters, SessionId};
 use crate::shard::{Retirement, Shard};
 use crate::snapshot::{read_snapshot, SnapshotError, SnapshotWriter};
 
-/// Skew-aware rebalancer policy. The control plane evaluates per-shard
-/// cost from the live telemetry registry — sessions weighted by the
-/// recent deadline-miss rate, with slot p99 as the tiebreak — and
-/// migrates sessions from the most expensive shard to the cheapest one
-/// whenever the spread crosses the hysteresis threshold.
-#[derive(Debug, Clone)]
+/// Skew-aware rebalancer policy. When enabled, [`Daemon::poll`] runs
+/// [`Daemon::rebalance_now`] every 100 ms.
+#[derive(Debug, Clone, Default)]
 pub struct RebalanceConfig {
     /// Master switch; off means sessions stay where placement put them.
     pub enabled: bool,
-    /// Minimum wall time between rebalance evaluations (each one takes
-    /// a registry snapshot, so this bounds control-plane overhead).
-    pub interval: Duration,
-    /// Trigger threshold in milli-ratio: migrate only while
-    /// `donor_cost · 1000 > high_ratio_milli · receiver_cost`. Moving
-    /// to the midpoint afterwards lands the ratio near 1000, so the
-    /// gap between 1000 and this value is the hysteresis band.
-    pub high_ratio_milli: u64,
-    /// Absolute session-count gap below which imbalance is ignored
-    /// (keeps tiny populations from ping-ponging).
-    pub min_gap: u64,
-    /// Most sessions migrated per evaluation.
-    pub max_moves: usize,
 }
 
-impl Default for RebalanceConfig {
-    fn default() -> Self {
-        RebalanceConfig {
-            enabled: false,
-            interval: Duration::from_millis(100),
-            high_ratio_milli: 1500,
-            min_gap: 8,
-            max_moves: 1024,
-        }
-    }
-}
+/// Wall time between the rebalance evaluations [`Daemon::poll`] runs.
+const REBALANCE_INTERVAL: Duration = Duration::from_millis(100);
+
+/// Sessions move only while `donor_cost · 1000 > REBALANCE_TRIGGER_MILLI
+/// · receiver_cost`. A move halves the booked gap at most, so the band
+/// below 1.5× is the hysteresis that keeps a leveled population still.
+const REBALANCE_TRIGGER_MILLI: u128 = 1500;
 
 /// Daemon sizing and behaviour.
 #[derive(Debug, Clone)]
@@ -152,20 +140,14 @@ enum Command {
     Evict {
         id: SessionId,
     },
-    /// Migrate up to `max_sessions` sessions out of this shard into
-    /// shard `to_shard`, whose queue, committed-rate mirror, and
-    /// bookable cap ride along. The donor reserves rate on the
-    /// receiver's mirror *before* sending each session, so the
-    /// receiver-side admission controller can never refuse it.
+    /// Hand back resident, non-draining sessions whose rates fit in
+    /// `budget` together, for the control plane to place elsewhere.
     Export {
-        to: SyncSender<Command>,
-        to_committed: Arc<AtomicU64>,
-        to_bookable: Bytes,
-        to_shard: u32,
-        max_sessions: usize,
+        budget: Bytes,
+        reply: SyncSender<Vec<LiveSession>>,
     },
-    /// A live session arriving from another shard — ring, ledger, and
-    /// session-local clock intact.
+    /// A live session the control plane placed here, migrated or
+    /// restored: ring, ledger, and session-local clock intact.
     Import {
         session: Box<LiveSession>,
     },
@@ -178,14 +160,6 @@ enum Command {
     Stop {
         drain: bool,
     },
-}
-
-/// One completed session handoff, harvested by [`Daemon::poll`] to
-/// update the directory and the migration counters.
-struct MigrationRecord {
-    session: SessionId,
-    from: u32,
-    to: u32,
 }
 
 /// Condvar the workers bump whenever retirements land, so
@@ -293,16 +267,13 @@ impl DaemonReport {
 
 /// Worker-side context [`apply`] needs beyond the shard itself: the
 /// control plane's committed-rate mirror, this shard's telemetry
-/// block, the shared retirement and migration sinks, and the stop mode
-/// once one arrived (an [`Command::Import`] landing after Stop must
-/// follow the same drain/evict policy or the worker would never exit).
+/// block, the shared retirement sink, and whether a stop arrived.
 struct WorkerCtx {
     committed: Arc<AtomicU64>,
     telemetry: Arc<ShardTelemetry>,
     retired: Arc<Mutex<Vec<Retirement>>>,
-    migrated: Arc<Mutex<Vec<MigrationRecord>>>,
     idle: Arc<IdleSignal>,
-    stop: Option<bool>,
+    stopped: bool,
     /// Retirements on their way from the shard to `retired`.
     retire_buf: Vec<Retirement>,
     /// The shard's cumulative (slots, played slices, sent bytes) at the
@@ -363,7 +334,7 @@ fn worker(
                 }
                 Err(TryRecvError::Empty) => break,
                 Err(TryRecvError::Disconnected) => {
-                    ctx.stop.get_or_insert(false);
+                    ctx.stopped = true;
                     break;
                 }
             }
@@ -375,7 +346,7 @@ fn worker(
             ctx.publish(&mut shard);
         }
         if shard.sessions() == 0 {
-            if ctx.stop.is_some() {
+            if ctx.stopped {
                 break;
             }
             was_idle = true;
@@ -414,7 +385,7 @@ fn worker(
     shard
 }
 
-/// Applies one command; records a stop request in `ctx.stop`.
+/// Applies one command; records a stop request in `ctx.stopped`.
 fn apply(shard: &mut Shard, cmd: Command, ctx: &mut WorkerCtx) {
     match cmd {
         Command::Admit {
@@ -445,81 +416,20 @@ fn apply(shard: &mut Shard, cmd: Command, ctx: &mut WorkerCtx) {
         Command::Evict { id } => {
             let _ = shard.evict(id);
         }
-        Command::Export {
-            to,
-            to_committed,
-            to_bookable,
-            to_shard,
-            max_sessions,
-        } => {
-            for _ in 0..max_sessions {
-                let Some(s) = shard.export_any() else { break };
-                let rate = s.rate();
-                // Reserve on the receiver's mirror first; admissions
-                // racing this can only see the conservative sum, so
-                // the receiver-side controller never over-commits.
-                let prev = to_committed.fetch_add(rate, Ordering::Relaxed);
-                if prev + rate > to_bookable {
-                    to_committed.fetch_sub(rate, Ordering::Relaxed);
-                    reimport(shard, s);
-                    break;
-                }
-                let id = s.id();
-                match to.try_send(Command::Import {
-                    session: Box::new(s),
-                }) {
-                    Ok(()) => {
-                        ctx.committed.fetch_sub(rate, Ordering::Relaxed);
-                        ctx.telemetry.migrations_out.inc();
-                        ctx.migrated
-                            .lock()
-                            .expect("migration sink poisoned")
-                            .push(MigrationRecord {
-                                session: id,
-                                from: shard.id(),
-                                to: to_shard,
-                            });
-                    }
-                    Err(e) => {
-                        // Receiver queue full or worker gone: undo the
-                        // reservation and keep the session here. The
-                        // session rode inside the rejected command.
-                        to_committed.fetch_sub(rate, Ordering::Relaxed);
-                        let (TrySendError::Full(cmd) | TrySendError::Disconnected(cmd)) = e;
-                        if let Command::Import { session } = cmd {
-                            reimport(shard, *session);
-                        }
-                        break;
-                    }
-                }
-            }
+        Command::Export { budget, reply } => {
+            // The control plane blocks on the reply, so it is there to
+            // take the sessions.
+            let _ = reply.send(shard.export_within(budget));
         }
         Command::Import { session } => {
-            let id = session.id();
-            match shard.import(*session) {
-                Ok(()) => {
-                    ctx.telemetry.migrations_in.inc();
-                    // A stop that already passed governs latecomers
-                    // too, or a drain-stop worker would spin forever
-                    // on an unbounded imported session.
-                    match ctx.stop {
-                        Some(true) => {
-                            let _ = shard.drain(id);
-                        }
-                        Some(false) => {
-                            let _ = shard.evict(id);
-                        }
-                        None => {}
-                    }
-                }
-                Err(sess) => {
-                    // Unreachable by construction (the donor reserved
-                    // rate on our mirror before sending); keep the
-                    // ledger conserved anyway by evicting in place.
-                    debug_assert!(false, "import admission cannot fail");
-                    let counters = sess.evict();
-                    shard.absorb_retired(&counters);
-                }
+            // The control plane booked the rate on this shard's mirror
+            // before sending, so the shard's own controller cannot
+            // refuse it; keep the ledger conserved anyway by evicting
+            // in place.
+            if let Err(sess) = shard.import(*session) {
+                debug_assert!(false, "import admission cannot fail");
+                let counters = sess.evict();
+                shard.absorb_retired(&counters);
             }
         }
         Command::Snapshot { reply } => {
@@ -532,29 +442,16 @@ fn apply(shard: &mut Shard, cmd: Command, ctx: &mut WorkerCtx) {
             let _ = reply.send(w);
         }
         Command::Stop { drain } => {
-            if ctx.stop.is_none() {
-                if drain {
-                    shard.drain_all();
-                    while shard.sessions() > 0 {
-                        shard.process_slot();
-                    }
-                } else {
-                    shard.evict_all();
+            if drain {
+                shard.drain_all();
+                while shard.sessions() > 0 {
+                    shard.process_slot();
                 }
-                ctx.stop = Some(drain);
+            } else {
+                shard.evict_all();
             }
+            ctx.stopped = true;
         }
-    }
-}
-
-/// Puts an export candidate back where it came from; infallible
-/// because the caller just released the reservation it needs.
-fn reimport(shard: &mut Shard, session: LiveSession) {
-    let back = shard.import(session);
-    debug_assert!(back.is_ok(), "reimport into the donor cannot fail");
-    if let Err(sess) = back {
-        let counters = sess.evict();
-        shard.absorb_retired(&counters);
     }
 }
 
@@ -594,7 +491,6 @@ pub struct Daemon {
     retired: Arc<Mutex<Vec<Retirement>>>,
     retire_scratch: Vec<Retirement>,
     registry: Arc<Registry>,
-    migrated: Arc<Mutex<Vec<MigrationRecord>>>,
     idle: Arc<IdleSignal>,
     last_migration: Option<(u32, u32)>,
     last_rebalance: Instant,
@@ -613,7 +509,6 @@ impl Daemon {
             .bookable_capacity();
         let registry = Arc::new(Registry::new(cfg.shards as usize));
         let retired = Arc::new(Mutex::new(Vec::new()));
-        let migrated = Arc::new(Mutex::new(Vec::new()));
         let idle = Arc::new(IdleSignal::default());
         let handles = (0..cfg.shards)
             .map(|i| {
@@ -625,9 +520,8 @@ impl Daemon {
                     committed: Arc::clone(&committed),
                     telemetry: Arc::clone(&telemetry),
                     retired: Arc::clone(&retired),
-                    migrated: Arc::clone(&migrated),
                     idle: Arc::clone(&idle),
-                    stop: None,
+                    stopped: false,
                     retire_buf: Vec::new(),
                     published: (0, 0, 0),
                 };
@@ -656,7 +550,6 @@ impl Daemon {
             retired,
             retire_scratch: Vec::new(),
             registry,
-            migrated,
             idle,
             last_migration: None,
             last_rebalance: Instant::now(),
@@ -889,29 +782,6 @@ impl Daemon {
         self.push(id, Command::Evict { id })
     }
 
-    /// Harvests completed migrations: repoints directory entries and
-    /// bumps the daemon-wide counters. Ordered before the retirement
-    /// harvest — a record for a session whose retirement was already
-    /// harvested is skipped (the directory presence check), never
-    /// resurrected.
-    fn harvest_migrations(&mut self) -> u64 {
-        let mut records = self.migrated.lock().expect("migration sink poisoned");
-        if records.is_empty() {
-            return 0;
-        }
-        let drained: Vec<MigrationRecord> = records.drain(..).collect();
-        drop(records);
-        let n = drained.len() as u64;
-        self.registry.migrations.add(n);
-        for m in &drained {
-            if let Some(entry) = self.directory.get_mut(&m.session) {
-                *entry = m.to;
-            }
-            self.last_migration = Some((m.from, m.to));
-        }
-        n
-    }
-
     /// The retirement half of [`Daemon::poll`], also run at shutdown.
     fn harvest_retirements(&mut self) -> u64 {
         let mut harvested = std::mem::take(&mut self.retire_scratch);
@@ -940,10 +810,7 @@ impl Daemon {
     /// sessions retired since the last poll. Also drives the
     /// rebalancer when it is enabled and its interval has elapsed.
     pub fn poll(&mut self) -> u64 {
-        self.harvest_migrations();
-        if self.cfg.rebalance.enabled
-            && self.last_rebalance.elapsed() >= self.cfg.rebalance.interval
-        {
+        if self.cfg.rebalance.enabled && self.last_rebalance.elapsed() >= REBALANCE_INTERVAL {
             self.rebalance_now();
         }
         self.harvest_retirements()
@@ -1085,109 +952,135 @@ impl Daemon {
             }
         }
         // Plan the full placement against a local copy of the mirror
-        // before moving anything, so a refused plan admits nothing.
+        // before moving anything, so a refused plan admits nothing. The
+        // widest rates are planned first (decreasing worst-fit), which
+        // books populations that snapshot order would refuse; it is
+        // not exact bin packing, so a population that fits only some
+        // other way is still refused.
+        let mut order: Vec<usize> = (0..sessions.len()).collect();
+        order.sort_by_key(|&i| std::cmp::Reverse(sessions[i].rate()));
         let mut residual: Vec<Bytes> = self.handles.iter().map(|h| self.residual(h)).collect();
-        let mut placement = Vec::with_capacity(sessions.len());
-        for s in &sessions {
-            let shard = place(residual.iter().copied(), s.rate())
-                .ok_or(SnapshotError::Capacity { rate: s.rate() })?;
-            residual[shard] -= s.rate();
-            placement.push(shard);
+        let mut placement = vec![0; sessions.len()];
+        for i in order {
+            let rate = sessions[i].rate();
+            let shard =
+                place(residual.iter().copied(), rate).ok_or(SnapshotError::Capacity { rate })?;
+            residual[shard] -= rate;
+            placement[i] = shard;
         }
         let count = sessions.len() as u64;
-        for (s, &shard) in sessions.into_iter().zip(&placement) {
-            let id = s.id();
-            let h = &self.handles[shard];
-            h.committed.fetch_add(s.rate(), Ordering::Relaxed);
-            h.tx.send(Command::Import {
-                session: Box::new(s),
-            })
-            .expect("shard worker hung up during restore");
-            self.directory.insert(id, shard as u32);
-            self.next_id = self.next_id.max(id + 1);
+        for (s, shard) in sessions.into_iter().zip(placement) {
+            self.next_id = self.next_id.max(s.id() + 1);
+            self.land(s, shard, None);
         }
         self.registry.restored_sessions.add(count);
         Ok(count)
     }
 
-    /// One rebalance evaluation, regardless of the configured
-    /// interval: reads the per-shard registry (sessions, recent
-    /// deadline-miss rate, slot p99), refreshes the per-shard
-    /// imbalance gauges, and — when the donor/receiver cost spread
-    /// crosses the hysteresis threshold — asks the donor to migrate
-    /// sessions toward the cost midpoint. Returns the number of
-    /// sessions requested to move (0 when balanced).
+    /// Lands `session` on `shard`: books its rate on the mirror, points
+    /// the directory at it, and sends the [`Command::Import`], which
+    /// the worker applies before any command sent after it. A session
+    /// moved `from` another shard counts as a migration; returns whether
+    /// this one did.
+    fn land(&mut self, session: LiveSession, shard: usize, from: Option<usize>) -> bool {
+        let id = session.id();
+        let h = &self.handles[shard];
+        h.committed.fetch_add(session.rate(), Ordering::Relaxed);
+        h.tx.send(Command::Import {
+            session: Box::new(session),
+        })
+        .expect("shard worker hung up");
+        self.directory.insert(id, shard as u32);
+        let Some(from) = from.filter(|&from| from != shard) else {
+            return false;
+        };
+        self.handles[from].telemetry.migrations_out.inc();
+        h.telemetry.migrations_in.inc();
+        self.registry.migrations.inc();
+        self.last_migration = Some((from as u32, shard as u32));
+        true
+    }
+
+    /// One rebalance evaluation, regardless of the interval. Prices
+    /// each shard at the rate booked on its mirror times `1000 +` its
+    /// deadline-miss rate since the last evaluation (milli-units),
+    /// refreshes the per-shard imbalance gauges, and, when the dearest
+    /// shard costs more than 1.5× the cheapest (ties to the lower
+    /// index), takes back from it sessions worth up to half their
+    /// booked gap and places each one like an admission. Waits for the
+    /// donor's reply, as [`Daemon::snapshot`] does; a donor whose queue
+    /// is full skips the evaluation. Returns the number of sessions
+    /// moved.
     pub fn rebalance_now(&mut self) -> u64 {
         self.last_rebalance = Instant::now();
         if self.handles.len() < 2 {
             return 0;
         }
-        let snap = self.registry.snapshot();
-        // Cost per shard: resident sessions scaled by the windowed
-        // deadline-miss rate (milli-units). A shard missing half its
-        // deadlines costs 1.5x its session count.
-        let mut costs = Vec::with_capacity(self.handles.len());
-        let mut total_cost: u128 = 0;
-        for (i, s) in snap.shards.iter().enumerate() {
-            let (last_slots, last_misses) = self.rebalance_marks[i];
-            let slots_d = s.slots.saturating_sub(last_slots);
-            let miss_d = s.deadline_misses.saturating_sub(last_misses);
-            self.rebalance_marks[i] = (s.slots, s.deadline_misses);
-            let miss_milli = (miss_d * 1000).checked_div(slots_d).unwrap_or(0).min(1000);
-            let cost = s.sessions * (1000 + miss_milli);
-            total_cost += cost as u128;
-            costs.push(cost);
+        let booked: Vec<Bytes> = self
+            .handles
+            .iter()
+            .map(|h| h.committed.load(Ordering::Relaxed))
+            .collect();
+        let mut costs = Vec::with_capacity(booked.len());
+        for ((h, mark), &rate) in self
+            .handles
+            .iter()
+            .zip(&mut self.rebalance_marks)
+            .zip(&booked)
+        {
+            let now = (h.telemetry.slots.get(), h.telemetry.deadline_misses.get());
+            let slots = now.0.saturating_sub(mark.0);
+            let misses = now.1.saturating_sub(mark.1);
+            *mark = now;
+            let miss_milli = (misses * 1000).checked_div(slots).unwrap_or(0).min(1000);
+            costs.push(u128::from(rate) * u128::from(1000 + miss_milli));
         }
         // Publish the imbalance gauges (cost over mean, milli-units)
         // whether or not anything moves.
-        let n = costs.len() as u128;
-        let mean_cost = (total_cost / n).max(1);
-        for (i, &cost) in costs.iter().enumerate() {
-            let gauge = (cost as u128 * 1000 / mean_cost).min(u64::MAX as u128) as u64;
-            self.registry.shard(i).imbalance_milli.set(gauge);
+        let mean = (costs.iter().sum::<u128>() / costs.len() as u128).max(1);
+        for (h, &cost) in self.handles.iter().zip(&costs) {
+            let gauge = (cost * 1000 / mean).min(u128::from(u64::MAX)) as u64;
+            h.telemetry.imbalance_milli.set(gauge);
         }
-        // Donor: max cost, slot p99 breaking ties; receiver: min cost.
-        let p99 = |i: usize| snap.shards[i].latency.quantile(0.99);
-        let mut donor = 0usize;
-        let mut receiver = 0usize;
-        for i in 1..costs.len() {
-            if costs[i] > costs[donor] || (costs[i] == costs[donor] && p99(i) > p99(donor)) {
+        let (mut donor, mut receiver) = (0, 0);
+        for (i, &cost) in costs.iter().enumerate() {
+            if cost > costs[donor] {
                 donor = i;
             }
-            if costs[i] < costs[receiver]
-                || (costs[i] == costs[receiver] && p99(i) < p99(receiver))
-            {
+            if cost < costs[receiver] {
                 receiver = i;
             }
         }
-        let donor_sessions = snap.shards[donor].sessions;
-        let receiver_sessions = snap.shards[receiver].sessions;
-        if donor_sessions.saturating_sub(receiver_sessions) < self.cfg.rebalance.min_gap {
+        let budget = booked[donor].saturating_sub(booked[receiver]) / 2;
+        if budget == 0 || costs[donor] * 1000 <= REBALANCE_TRIGGER_MILLI * costs[receiver] {
             return 0;
         }
-        if costs[donor] * 1000 <= self.cfg.rebalance.high_ratio_milli * costs[receiver].max(1) {
-            return 0;
-        }
-        let moves = ((donor_sessions - receiver_sessions) / 2)
-            .min(self.cfg.rebalance.max_moves as u64)
-            .min((self.cfg.queue_capacity / 2).max(1) as u64)
-            .max(1);
-        let rh = &self.handles[receiver];
-        let cmd = Command::Export {
-            to: rh.tx.clone(),
-            to_committed: Arc::clone(&rh.committed),
-            to_bookable: self.bookable_per_shard,
-            to_shard: receiver as u32,
-            max_sessions: moves as usize,
-        };
-        match self.handles[donor].tx.try_send(cmd) {
-            Ok(()) => moves,
+        let (reply, rx) = mpsc::sync_channel(1);
+        if self.handles[donor]
+            .tx
+            .try_send(Command::Export { budget, reply })
+            .is_err()
+        {
             // Donor busy: skip this cycle, the next interval retries.
-            Err(_) => 0,
+            return 0;
         }
+        let Ok(sessions) = rx.recv() else { return 0 };
+        let mut moved = 0;
+        for s in sessions {
+            self.handles[donor]
+                .committed
+                .fetch_sub(s.rate(), Ordering::Relaxed);
+            // Releasing at most half the gap keeps the donor fuller than
+            // the receiver, so only retirements racing this can make
+            // placement hand a session back to the donor, uncounted.
+            let shard =
+                place(self.handles.iter().map(|h| self.residual(h)), s.rate()).unwrap_or(donor);
+            moved += u64::from(self.land(s, shard, Some(donor)));
+        }
+        moved
     }
 
-    /// Cumulative completed migrations (post-harvest view).
+    /// Sessions the rebalancer has moved between shards.
     pub fn migrations(&self) -> u64 {
         self.registry.migrations.get()
     }
@@ -1245,9 +1138,8 @@ impl Daemon {
                 slot_overruns: h.telemetry.slot_overruns.get(),
             });
         }
-        // Every worker has handed over its last migrations and
-        // retirements; count them all for events and the directory.
-        self.harvest_migrations();
+        // Every worker has handed over its last retirements; count
+        // them all for events and the directory.
         self.harvest_retirements();
         DaemonReport {
             shards,
@@ -1565,11 +1457,7 @@ mod tests {
     #[test]
     fn rebalancer_migrates_a_skewed_population_without_losing_bytes() {
         let mut cfg = small_config(2, 256);
-        cfg.rebalance = RebalanceConfig {
-            enabled: true,
-            min_gap: 8,
-            ..RebalanceConfig::default()
-        };
+        cfg.rebalance.enabled = true;
         let mut d = Daemon::start(cfg);
         // All load pinned onto shard 0: maximal skew, unbounded CBR so
         // nothing retires out from under the rebalancer.
@@ -1634,6 +1522,113 @@ mod tests {
     }
 
     #[test]
+    fn a_balanced_admission_is_left_alone_without_waiting_for_gauges() {
+        let req = cbr_request(4, 0);
+        for _ in 0..40 {
+            let mut d = Daemon::start(small_config(2, 64));
+            for shard in 0..2 {
+                for _ in 0..8 {
+                    d.admit_pinned(&req, shard).unwrap();
+                }
+            }
+            assert_eq!(d.rebalance_now(), 0);
+            assert_eq!(d.migrations(), 0);
+            d.shutdown(false);
+        }
+    }
+
+    #[test]
+    fn a_snapshot_right_after_rebalancing_holds_every_session() {
+        let cfg = DaemonConfig {
+            queue_capacity: 1024,
+            ..small_config(2, 4096)
+        };
+        let mut d = Daemon::start(cfg);
+        let req = cbr_request(4, 0);
+        for _ in 0..512 {
+            d.admit_pinned(&req, 0).unwrap();
+        }
+        // Half the 2048 B/slot booked gap: 256 sessions of rate 4.
+        assert_eq!(d.rebalance_now(), 256);
+        let (n, bytes) = d.snapshot();
+        assert_eq!(n, 512, "a moved session missed the snapshot");
+        assert_eq!(read_snapshot(&bytes).unwrap().len(), 512);
+        let report = d.shutdown(false);
+        assert_eq!(report.retired_sessions, 512);
+        assert!(report.totals.conserved(), "{:?}", report.totals);
+    }
+
+    #[test]
+    fn injects_and_drains_right_after_rebalancing_reach_moved_sessions() {
+        let cfg = DaemonConfig {
+            queue_capacity: 256,
+            ..small_config(2, 256)
+        };
+        let mut d = Daemon::start(cfg);
+        let fed = AdmitRequest {
+            per_slot: 0, // externally fed
+            slice_size: 0,
+            ..cbr_request(4, 0)
+        };
+        let ids: Vec<SessionId> = (0..64).map(|_| d.admit_pinned(&fed, 0).unwrap()).collect();
+        assert_eq!(d.rebalance_now(), 32);
+        for &id in &ids {
+            d.inject(id, vec![(4, 1)]).unwrap();
+        }
+        for &id in &ids {
+            d.drain(id).unwrap();
+        }
+        assert!(
+            d.wait_idle(Duration::from_secs(20)),
+            "a drain missed its session"
+        );
+        let report = d.shutdown(true);
+        assert_eq!(report.retired_sessions, 64);
+        assert_eq!(report.totals.offered_bytes, 64 * 4, "an inject was lost");
+        assert_eq!(report.totals.played_bytes, report.totals.offered_bytes);
+        assert!(report.totals.conserved(), "{:?}", report.totals);
+    }
+
+    #[test]
+    fn restores_are_not_migrations_and_each_move_counts_once() {
+        let migrated = |d: &Daemon| {
+            let r = d.registry();
+            let shards = 0..d.shards() as usize;
+            let moved_in: u64 = shards.clone().map(|i| r.shard(i).migrations_in.get()).sum();
+            let moved_out: u64 = shards.map(|i| r.shard(i).migrations_out.get()).sum();
+            (moved_in, moved_out)
+        };
+        let mut src = Daemon::start(small_config(1, 64));
+        for _ in 0..8 {
+            src.admit(&cbr_request(4, 0)).unwrap();
+        }
+        let (_, bytes) = src.snapshot();
+        src.shutdown(false);
+
+        let mut d = Daemon::start(small_config(2, 256));
+        assert_eq!(d.restore(&bytes).unwrap(), 8);
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while d.live_sessions() < 8 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(d.live_sessions(), 8, "the imports were applied");
+        assert_eq!(migrated(&d), (0, 0), "a restore is not a migration");
+        assert_eq!(d.migrations(), 0);
+        // 4 + 16 sessions on shard 0 against 4 on shard 1: half the
+        // 64 B/slot gap is 8 sessions of rate 4.
+        for _ in 0..16 {
+            d.admit_pinned(&cbr_request(4, 0), 0).unwrap();
+        }
+        let moved = d.rebalance_now();
+        assert_eq!(moved, 8);
+        assert_eq!(migrated(&d), (moved, moved));
+        assert_eq!(d.migrations(), moved);
+        let report = d.shutdown(false);
+        assert_eq!(report.retired_sessions, 24);
+        assert!(report.totals.conserved(), "{:?}", report.totals);
+    }
+
+    #[test]
     fn snapshot_restore_moves_a_live_population_between_daemons() {
         let mut d = Daemon::start(small_config(2, 64));
         let mut ids = Vec::new();
@@ -1690,6 +1685,26 @@ mod tests {
         assert_eq!(small.live_sessions(), 0);
         let report = small.shutdown(true);
         assert_eq!(report.retired_sessions, 0);
+    }
+
+    #[test]
+    fn restore_books_the_widest_rates_first() {
+        // Two link-4 shards hold rates 2, 2, 4 only as {2, 2} and {4};
+        // placed in snapshot order, the 2s split and strand the 4.
+        let mut shard = Shard::new(0, 8, (1, 1));
+        for (id, rate) in [(1, 2), (2, 2), (3, 4)] {
+            shard.admit(id, &cbr_request(rate, 0)).unwrap();
+        }
+        let mut w = SnapshotWriter::new();
+        for s in shard.iter_sessions() {
+            w.add(s);
+        }
+        let bytes = w.finish();
+        let mut d = Daemon::start(small_config(2, 4));
+        assert_eq!(d.restore(&bytes), Ok(3));
+        let report = d.shutdown(false);
+        assert_eq!(report.retired_sessions, 3);
+        assert!(report.totals.conserved(), "{:?}", report.totals);
     }
 
     #[test]

@@ -378,23 +378,30 @@ impl Shard {
             .index
             .get(&session)
             .ok_or(RejectReason::UnknownSession)?;
-        let s = self.remove_at(idx);
-        self.admission.release(s.params());
-        Ok(s)
+        Ok(self.export_at(idx))
     }
 
-    /// Exports some resident session, preferring one that is not
-    /// already draining (a draining session retires soon anyway, so
-    /// moving it buys nothing). Returns `None` on an empty shard.
-    pub fn export_any(&mut self) -> Option<LiveSession> {
-        let id = self
-            .sessions
-            .iter()
-            .rev()
-            .find(|s| !s.is_draining())
-            .or(self.sessions.last())?
-            .id();
-        self.export(id).ok()
+    /// Exports, as [`Shard::export`] does, non-draining sessions whose
+    /// rates fit in `budget` together (a draining session retires soon
+    /// anyway, so moving it buys nothing). Empty when none fits.
+    pub fn export_within(&mut self, mut budget: Bytes) -> Vec<LiveSession> {
+        let mut out = Vec::new();
+        // Back to front: `swap_remove` refills a slot from the already
+        // visited tail, so every session is looked at once.
+        for idx in (0..self.sessions.len()).rev() {
+            let s = &self.sessions[idx];
+            if !s.is_draining() && s.rate() <= budget {
+                budget -= s.rate();
+                out.push(self.export_at(idx));
+            }
+        }
+        out
+    }
+
+    fn export_at(&mut self, idx: usize) -> LiveSession {
+        let s = self.remove_at(idx);
+        self.admission.release(s.params());
+        s
     }
 
     /// Accepts a migrated session, re-reserving its rate with this
@@ -585,6 +592,22 @@ mod tests {
         // Zero capacity grants nothing.
         fair_grants(&[5, 1, 3], 0, &mut cursor, &mut active, &mut out);
         assert_eq!(out, vec![0, 0, 0]);
+    }
+
+    #[test]
+    fn export_within_takes_non_draining_sessions_that_fit_the_budget() {
+        let mut shard = Shard::new(0, 64, (1, 1));
+        for (id, rate) in [(1, 4), (2, 8), (3, 4), (4, 2)] {
+            shard.admit(id, &cbr_request(rate, 3, 0)).unwrap();
+        }
+        shard.drain(4).unwrap();
+        // Back to front: 4 is draining, 3 fits (5 left), 2 does not, 1
+        // fits (1 left).
+        let ids: Vec<SessionId> = shard.export_within(9).iter().map(|s| s.id()).collect();
+        assert_eq!(ids, vec![3, 1]);
+        assert_eq!(shard.sessions(), 2);
+        assert_eq!(shard.admission().committed(), 10);
+        assert!(shard.export_within(1).is_empty());
     }
 
     #[test]

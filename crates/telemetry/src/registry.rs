@@ -8,8 +8,9 @@ use rts_obs::{LogHistogram, RejectReason};
 
 use crate::atomic::{AtomicCounter, AtomicHistogram};
 
-/// Live instruments for one shard worker. The owning worker is the
-/// only writer; anyone may read.
+/// Live instruments for one shard worker. The owning worker writes the
+/// slot, session and stage instruments; the control plane writes the
+/// migration counters and the imbalance gauge. Anyone may read.
 #[derive(Debug, Default)]
 pub struct ShardTelemetry {
     /// Resident sessions (gauge, overwritten each slot).
@@ -24,9 +25,10 @@ pub struct ShardTelemetry {
     pub deadline_misses: AtomicCounter,
     /// Slots whose work alone exceeded the configured period.
     pub slot_overruns: AtomicCounter,
-    /// Sessions this shard received from other shards (rebalancing).
+    /// Sessions the rebalancer moved onto this shard (a restore counts
+    /// none).
     pub migrations_in: AtomicCounter,
-    /// Sessions this shard handed to other shards (rebalancing).
+    /// Sessions the rebalancer moved off this shard.
     pub migrations_out: AtomicCounter,
     /// Rebalancer cost-over-mean gauge in milli-units (1000 = exactly
     /// the fleet mean); written by the control plane each evaluation.
