@@ -18,7 +18,6 @@ use rts_stream::{FrameKind, Slice, SliceId};
 fn slice(id: u64, size: u64, weight: u64) -> Slice {
     Slice {
         id: SliceId(id),
-        frame: 0,
         arrival: 0,
         size,
         weight,

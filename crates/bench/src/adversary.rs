@@ -186,11 +186,11 @@ where
     let probe = two_scenario_adversary(b, probe_len, w_low, w_high, Scenario::EndAtT1);
     let mut server = rts_core::Server::new(b, 1, make_policy());
     let mut t1 = 0u64;
-    let mut frames = probe.frames().iter().peekable();
+    let mut frames = probe.frames().peekable();
     let mut t = 0u64;
     loop {
         let arrivals: &[_] = match frames.peek() {
-            Some(f) if f.time == t => &frames.next().expect("peeked").slices,
+            Some(f) if f.time == t => frames.next().expect("peeked").slices,
             _ => &[],
         };
         let step = server.step(t, arrivals);

@@ -116,11 +116,11 @@ fn simulate_bench<P: DropPolicy, F: Fn() -> P>(
 fn reference_server_run(stream: &InputStream, buffer: Bytes, rate: Bytes) -> Bytes {
     let mut server = ReferenceServer::new(buffer, rate, ReferencePolicy::Tail);
     let mut step = ServerStep::default();
-    let mut frames = stream.frames().iter().peekable();
+    let mut frames = stream.frames().peekable();
     let mut sent = 0;
     for t in 0.. {
         let arrivals: &[_] = match frames.next_if(|f| f.time == t) {
-            Some(f) => &f.slices,
+            Some(f) => f.slices,
             None => &[],
         };
         let drained = server.step_slot(t, arrivals, &mut step);

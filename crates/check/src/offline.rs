@@ -41,6 +41,7 @@ fn audit_plan(
 ) -> Verdict {
     let kept: Weight = stream
         .slices()
+        .iter()
         .filter(|s| !rejected.contains(&s.id))
         .map(|s| s.weight)
         .sum();
@@ -51,6 +52,7 @@ fn audit_plan(
     }
     let accepted: HashSet<SliceId> = stream
         .slices()
+        .iter()
         .map(|s| s.id)
         .filter(|id| !rejected.contains(id))
         .collect();
@@ -98,7 +100,7 @@ fn unit_plan_canonical(cfg: &CheckConfig) -> CheckResult {
         // exactly the lowest ids; weight-0 slices are always rejected.
         let mut classes: HashMap<(Time, Weight), Vec<SliceId>> = HashMap::new();
         for frame in stream.frames() {
-            for s in &frame.slices {
+            for s in frame.slices {
                 if s.weight == 0 {
                     if !rejected.contains(&s.id) {
                         return Verdict::fail(format!(

@@ -114,7 +114,7 @@ fn probed_vs_unprobed(cfg: &CheckConfig) -> CheckResult {
                 case.policy.build(),
                 &mut probe,
             );
-            if probe.events.is_empty() && !stream.frames().is_empty() {
+            if probe.events.is_empty() && stream.frame_count() > 0 {
                 return Verdict::fail("probe observed no events on a non-empty run".to_string());
             }
             reports_equal(&plain, &probed, "probed vs unprobed")
@@ -154,7 +154,7 @@ fn mux_single_vs_sim(cfg: &CheckConfig) -> CheckResult {
             let mut params = case.params;
             params.link_delay = 0;
             let stream = case.stream.stream();
-            let sim = simulate(&stream, SimConfig::new(params), case.policy.build());
+            let m = simulate(&stream, SimConfig::new(params), case.policy.build()).metrics;
             let mut mux = Mux::new(params.rate, RoundRobin::new());
             if mux
                 .admit(SessionSpec::new(stream, params, case.policy.build()))
@@ -164,7 +164,6 @@ fn mux_single_vs_sim(cfg: &CheckConfig) -> CheckResult {
             }
             let report = mux.run();
             let s = &report.sessions[0];
-            let m = &sim.metrics;
             let pairs = [
                 ("benefit", s.delivered_weight, m.benefit),
                 ("played bytes", s.delivered_bytes, m.played_bytes),
@@ -189,15 +188,14 @@ fn mux_single_vs_sim(cfg: &CheckConfig) -> CheckResult {
 fn chunk_schedule(case: &SimCase) -> Vec<Vec<SentChunk>> {
     let stream = case.stream.stream();
     let mut server = Server::new(case.params.buffer, case.params.rate, case.policy.build());
-    let horizon = stream.frames().last().map_or(0, |f| f.time);
+    let horizon = stream.last_arrival().unwrap_or(0);
     let mut slots = Vec::new();
     let mut t: Time = 0;
     loop {
         let arrivals: &[_] = stream
             .frames()
-            .iter()
             .find(|f| f.time == t)
-            .map_or(&[], |f| &f.slices);
+            .map_or(&[], |f| f.slices);
         let step = server.step(t, arrivals);
         slots.push(step.sent);
         if t >= horizon && server.is_drained() {

@@ -294,12 +294,12 @@ pub fn first_divergence(
     right: &mut impl Lockstep,
 ) -> Option<String> {
     let (mut a, mut b) = (ServerStep::default(), ServerStep::default());
-    let mut frames = stream.frames().iter().peekable();
+    let mut frames = stream.frames().peekable();
     // A work-conserving server sends at least a byte per busy slot.
     let horizon = stream.last_arrival().unwrap_or(0) + stream.total_bytes() + 1;
     for t in 0..=horizon {
         let arrivals: &[Slice] = match frames.next_if(|f| f.time == t) {
-            Some(f) => &f.slices,
+            Some(f) => f.slices,
             None => &[],
         };
         let drained = (
@@ -327,7 +327,6 @@ mod tests {
     fn slice(id: u64, size: Bytes, weight: u64) -> Slice {
         Slice {
             id: SliceId(id),
-            frame: 0,
             arrival: 0,
             size,
             weight,

@@ -203,7 +203,7 @@ fn generate(args: &Args) -> Result<String, CliError> {
     std::fs::write(out, textio::write_stream(&stream)).map_err(|e| CliError::io(out, e))?;
     Ok(format!(
         "wrote {out}: {} frames, {} slices, {} bytes, weight {}\n",
-        stream.frames().len(),
+        stream.frame_count(),
         stream.slice_count(),
         stream.total_bytes(),
         stream.total_weight()
@@ -223,7 +223,7 @@ fn convert(args: &Args) -> Result<String, CliError> {
     std::fs::write(out, textio::write_stream(&stream)).map_err(|e| CliError::io(out, e))?;
     Ok(format!(
         "converted {input} -> {out}: {} frames, {} slices, {} bytes\n",
-        stream.frames().len(),
+        stream.frame_count(),
         stream.slice_count(),
         stream.total_bytes()
     ))
@@ -247,7 +247,7 @@ fn merge_cmd(args: &Args) -> Result<String, CliError> {
     Ok(format!(
         "merged {} traces -> {out}: {} frames, {} slices, {} bytes\n",
         inputs.len(),
-        merged.stream.frames().len(),
+        merged.stream.frame_count(),
         merged.stream.slice_count(),
         merged.stream.total_bytes()
     ))

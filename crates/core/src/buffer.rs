@@ -356,7 +356,6 @@ mod tests {
     fn slice(id: u64, size: Bytes, weight: u64) -> Slice {
         Slice {
             id: SliceId(id),
-            frame: 0,
             arrival: 0,
             size,
             weight,

@@ -218,7 +218,7 @@ enum PlayoutClock {
 /// use rts_stream::{FrameKind, Slice, SliceId};
 ///
 /// let slice = Slice {
-///     id: SliceId(0), frame: 0, arrival: 0, size: 1, weight: 1,
+///     id: SliceId(0), arrival: 0, size: 1, weight: 1,
 ///     kind: FrameKind::Generic,
 /// };
 /// // D = 2, P = 0: a slice sent at t=0 plays at t=2.
@@ -517,7 +517,6 @@ mod tests {
     fn slice(id: u64, arrival: Time, size: Bytes) -> Slice {
         Slice {
             id: SliceId(id),
-            frame: arrival,
             arrival,
             size,
             weight: size,

@@ -53,9 +53,8 @@
 //! for t in 0..8 {
 //!     let arrivals: &[_] = stream
 //!         .frames()
-//!         .get(t as usize)
-//!         .map(|f| f.slices.as_slice())
-//!         .unwrap_or(&[]);
+//!         .nth(t as usize)
+//!         .map_or(&[], |f| f.slices);
 //!     let step = server.step(t, arrivals);
 //!     let delivered = step.sent; // link delay 0: delivered immediately
 //!     played += client.step(t, &delivered).played.len();

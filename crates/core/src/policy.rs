@@ -552,7 +552,6 @@ mod tests {
     fn slice(id: u64, size: Bytes, weight: Weight) -> Slice {
         Slice {
             id: SliceId(id),
-            frame: 0,
             arrival: 0,
             size,
             weight,

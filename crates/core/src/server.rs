@@ -89,7 +89,7 @@ impl ServerStep {
 ///
 /// let stream = InputStream::from_frames([vec![SliceSpec::unit(); 5]]);
 /// let mut server = Server::new(2, 1, TailDrop::new());
-/// let step = server.step(0, &stream.frames()[0].slices);
+/// let step = server.step(0, stream.frame(0).slices);
 /// // Rate 1 sends one byte; capacity 2 keeps two; the rest is dropped.
 /// assert_eq!(step.sent_bytes(), 1);
 /// assert_eq!(step.dropped.len(), 2);
@@ -329,7 +329,7 @@ mod tests {
     fn run_throughput<P: DropPolicy>(server: &mut Server<P>, stream: &InputStream) -> Bytes {
         let mut sent = 0;
         for frame in stream.frames() {
-            sent += server.step(frame.time, &frame.slices).sent_bytes();
+            sent += server.step(frame.time, frame.slices).sent_bytes();
         }
         let last = stream.last_arrival().unwrap_or(0);
         sent + drain(server, last + 1)
@@ -343,7 +343,7 @@ mod tests {
         // B=2, R=1: burst of 5 at t=0 → send 1, keep 2, drop 2.
         let stream = unit_frames(&[5]);
         let mut server = Server::new(2, 1, TailDrop::new());
-        let step = server.step(0, &stream.frames()[0].slices);
+        let step = server.step(0, stream.frame(0).slices);
         assert_eq!(step.sent_bytes(), 1);
         assert_eq!(step.dropped_bytes(), 2);
         assert_eq!(step.occupancy, 2);
@@ -354,7 +354,7 @@ mod tests {
         // B=2, R=2: burst of 4 → send 2, keep 2, drop 0.
         let stream = unit_frames(&[4]);
         let mut server = Server::new(2, 2, TailDrop::new());
-        let step = server.step(0, &stream.frames()[0].slices);
+        let step = server.step(0, stream.frame(0).slices);
         assert_eq!(step.sent_bytes(), 2);
         assert_eq!(step.dropped_bytes(), 0);
         assert_eq!(step.occupancy, 2);
@@ -367,7 +367,7 @@ mod tests {
         let stream = unit_frames(&[3, 0, 0]);
         let mut server = Server::new(10, 1, TailDrop::new());
         for frame in stream.frames() {
-            let step = server.step(frame.time, &frame.slices);
+            let step = server.step(frame.time, frame.slices);
             assert_eq!(step.sent_bytes(), 1);
         }
     }
@@ -378,7 +378,7 @@ mod tests {
         let stream = unit_frames(&[9, 9, 9, 0, 9]);
         let mut server = Server::new(3, 2, TailDrop::new());
         for frame in stream.frames() {
-            let step = server.step(frame.time, &frame.slices);
+            let step = server.step(frame.time, frame.slices);
             assert!(step.occupancy <= 3);
         }
     }
@@ -389,7 +389,7 @@ mod tests {
         let mut server = Server::new(10, 1, TailDrop::new());
         let mut ids = Vec::new();
         for frame in stream.frames() {
-            for c in server.step(frame.time, &frame.slices).sent {
+            for c in server.step(frame.time, frame.slices).sent {
                 ids.push(c.slice.id.0);
             }
         }
@@ -411,9 +411,9 @@ mod tests {
         let stream = b.build();
 
         let mut server = Server::new(2, 2, GreedyByteValue::new());
-        let s0 = server.step(0, &stream.frames()[0].slices);
+        let s0 = server.step(0, stream.frame(0).slices);
         assert_eq!(s0.sent_bytes(), 2); // half the big slice
-        let s1 = server.step(1, &stream.frames()[1].slices);
+        let s1 = server.step(1, stream.frame(1).slices);
         // Occupancy before drops: 2 (big remainder) + 8 = 10 > B+R = 4;
         // greedy drops 1-weight units, never the transmitting slice.
         assert!(s1.dropped.iter().all(|s| s.weight == 1));
@@ -429,7 +429,7 @@ mod tests {
         b.frame(0, [SliceSpec::new(10, 1, FrameKind::Generic)]);
         let stream = b.build();
         let mut server = Server::new(2, 1, TailDrop::new());
-        let step = server.step(0, &stream.frames()[0].slices);
+        let step = server.step(0, stream.frame(0).slices);
         assert_eq!(step.dropped_bytes(), 10);
         assert_eq!(step.sent_bytes(), 0);
     }
@@ -438,7 +438,7 @@ mod tests {
     fn drain_flushes_everything() {
         let stream = unit_frames(&[5]);
         let mut server = Server::new(10, 2, TailDrop::new());
-        let first = server.step(0, &stream.frames()[0].slices);
+        let first = server.step(0, stream.frame(0).slices);
         assert_eq!(first.sent_bytes(), 2);
         let rest = drain(&mut server, 1);
         let drained: Bytes = rest.iter().map(ServerStep::sent_bytes).sum();
@@ -482,7 +482,7 @@ mod tests {
         let stream = unit_frames(&[3]);
         let mut server = Server::new(2, 5, TailDrop::new());
         let mut step = ServerStep::default();
-        server.admit_arrivals(&stream.frames()[0].slices);
+        server.admit_arrivals(stream.frame(0).slices);
         server.step_admitted_into(0, 0, &mut step);
         assert_eq!(step.sent_bytes(), 0);
         assert_eq!(step.dropped_bytes(), 1); // 3 arrivals, B = 2, grant 0
@@ -498,8 +498,8 @@ mod tests {
         let mut split = Server::new(3, 2, GreedyByteValue::new());
         let mut granted = ServerStep::default();
         for frame in stream.frames() {
-            let whole = dedicated.step(frame.time, &frame.slices);
-            split.admit_arrivals(&frame.slices);
+            let whole = dedicated.step(frame.time, frame.slices);
+            split.admit_arrivals(frame.slices);
             split.step_admitted_into(frame.time, 2, &mut granted);
             assert_eq!(whole, granted);
         }
@@ -511,7 +511,7 @@ mod tests {
         let boxed: Box<dyn DropPolicy> = Box::new(TailDrop::new());
         let mut server = Server::new(2, 1, boxed);
         assert_eq!(server.policy_name(), "Tail-Drop");
-        let step = server.step(0, &stream.frames()[0].slices);
+        let step = server.step(0, stream.frame(0).slices);
         assert_eq!(step.sent_bytes(), 1);
         assert_eq!(step.dropped_bytes(), 2);
     }
@@ -529,7 +529,7 @@ mod tests {
         );
         let stream = b.build();
         let mut server = Server::new(4, 1, EarlyValueDrop::new(4, 1, 2, 2));
-        let step = server.step(0, &stream.frames()[0].slices);
+        let step = server.step(0, stream.frame(0).slices);
         let dropped: Vec<u64> = step.dropped.iter().map(|s| s.id.0).collect();
         assert_eq!(dropped, vec![1, 0, 7]);
         assert_eq!(step.early_dropped, 2);
@@ -541,7 +541,7 @@ mod tests {
         // B=0, R=2: at most R bytes pass per step, nothing is stored.
         let stream = unit_frames(&[3, 3]);
         let mut server = Server::new(0, 2, TailDrop::new());
-        let s0 = server.step(0, &stream.frames()[0].slices);
+        let s0 = server.step(0, stream.frame(0).slices);
         assert_eq!(s0.sent_bytes(), 2);
         assert_eq!(s0.dropped_bytes(), 1);
         assert_eq!(s0.occupancy, 0);
@@ -554,8 +554,8 @@ mod tests {
         let mut reused = Server::new(3, 2, GreedyByteValue::new());
         let mut scratch = ServerStep::default();
         for frame in stream.frames() {
-            let a = plain.step(frame.time, &frame.slices);
-            reused.step_into(frame.time, &frame.slices, &mut scratch);
+            let a = plain.step(frame.time, frame.slices);
+            reused.step_into(frame.time, frame.slices, &mut scratch);
             assert_eq!(a, scratch);
         }
     }
@@ -569,7 +569,6 @@ mod tests {
         use rts_stream::{FrameKind, SliceId};
         let unit = |id: u64| Slice {
             id: SliceId(id),
-            frame: 0,
             arrival: 0,
             size: 1,
             weight: 1,

@@ -13,7 +13,6 @@ const CASES: u64 = 128;
 fn slice(id: u64, size: Bytes, weight: u64) -> Slice {
     Slice {
         id: SliceId(id),
-        frame: 0,
         arrival: 0,
         size,
         weight,

@@ -32,7 +32,7 @@ pub fn simulate_faulted<P: DropPolicy>(
     config: SimConfig,
     plan: FaultPlan,
     policy: P,
-) -> SimReport {
+) -> SimReport<'_> {
     simulate_faulted_probed(stream, config, plan, policy, &mut NoopProbe)
 }
 
@@ -41,13 +41,13 @@ pub fn simulate_faulted<P: DropPolicy>(
 /// [`Event::LinkFault`](rts_obs::Event::LinkFault) and each client
 /// timer re-anchor as an
 /// [`Event::ClientResync`](rts_obs::Event::ClientResync).
-pub fn simulate_faulted_probed<P: DropPolicy, Pr: Probe>(
-    stream: &InputStream,
+pub fn simulate_faulted_probed<'s, P: DropPolicy, Pr: Probe>(
+    stream: &'s InputStream,
     mut config: SimConfig,
     plan: FaultPlan,
     policy: P,
     probe: &mut Pr,
-) -> SimReport {
+) -> SimReport<'s> {
     if config.drift.is_none() {
         config.drift = plan.drift();
     }

@@ -286,7 +286,6 @@ mod tests {
         for (i, &(size, weight)) in slices.iter().enumerate() {
             buf.admit(Slice {
                 id: SliceId(i as u64),
-                frame: 0,
                 arrival: 0,
                 size,
                 weight,

@@ -225,9 +225,9 @@ impl Session {
     /// tagging events with the session index (pass
     /// [`NoopProbe`](rts_obs::NoopProbe) to observe nothing).
     pub(crate) fn admit_probed<Pr: Probe>(&mut self, t: Time, probe: &mut Pr) {
-        let frames = self.stream.frames();
-        while self.next_frame < frames.len() && frames[self.next_frame].time == t {
-            let arrivals: &[Slice] = &frames[self.next_frame].slices;
+        let stream = &self.stream;
+        while self.next_frame < stream.frame_count() && stream.frame(self.next_frame).time == t {
+            let arrivals: &[Slice] = stream.frame(self.next_frame).slices;
             self.server.admit_arrivals(arrivals);
             events::admitted(probe, arrivals);
             self.next_frame += 1;
@@ -292,7 +292,7 @@ impl Session {
     /// Whether the session has no arrivals, buffered, in-flight, or
     /// undelivered data left.
     pub(crate) fn is_done(&self) -> bool {
-        self.next_frame >= self.stream.frames().len()
+        self.next_frame >= self.stream.frame_count()
             && self.server.is_drained()
             && self.link.is_empty()
             && self.client.is_drained()

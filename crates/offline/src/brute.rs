@@ -39,7 +39,7 @@ pub fn try_optimal_brute_force(
     buffer: Bytes,
     rate: Bytes,
 ) -> Result<Weight, OfflineError> {
-    let slices: Vec<_> = stream.slices().copied().collect();
+    let slices = stream.slices();
     if slices.len() > MAX_BRUTE_SLICES {
         return Err(OfflineError::BruteTooLarge {
             slices: slices.len(),

@@ -111,7 +111,7 @@ where
 /// Chooses the threshold-decomposition path when the range has few
 /// distinct weights, the push-out pool otherwise; both are exact.
 pub(crate) fn benefit_of_frames(
-    frames: &[rts_stream::Frame],
+    frames: &[rts_stream::Frame<'_>],
     buffer: Bytes,
     rate: Bytes,
 ) -> Weight {
@@ -178,7 +178,7 @@ pub(crate) fn pushout_plan(
             serve(&mut pool, (frame.time - p - 1).saturating_mul(rate));
         }
         prev = Some(frame.time);
-        for s in &frame.slices {
+        for s in frame.slices {
             if s.weight == 0 {
                 rejected.insert(s.id);
             } else {
@@ -229,6 +229,10 @@ mod tests {
     use super::*;
     use rts_stream::{FrameKind, SliceSpec};
 
+    fn frames(s: &InputStream) -> Vec<rts_stream::Frame<'_>> {
+        s.frames().collect()
+    }
+
     fn units(frames: &[&[Weight]]) -> InputStream {
         InputStream::from_frames(frames.iter().map(|ws| {
             ws.iter()
@@ -240,10 +244,10 @@ mod tests {
     #[test]
     fn pushout_matches_hand_examples() {
         let s = units(&[&[1, 9, 3], &[2, 2]]);
-        assert_eq!(benefit_of_frames(s.frames(), 0, 1), 9 + 2);
+        assert_eq!(benefit_of_frames(&frames(&s), 0, 1), 9 + 2);
         let s = units(&[&[7, 7, 7, 7], &[], &[], &[]]);
-        assert_eq!(benefit_of_frames(s.frames(), 3, 1), 28);
-        assert_eq!(benefit_of_frames(s.frames(), 2, 1), 21);
+        assert_eq!(benefit_of_frames(&frames(&s), 3, 1), 28);
+        assert_eq!(benefit_of_frames(&frames(&s), 2, 1), 21);
     }
 
     #[test]
@@ -271,6 +275,6 @@ mod tests {
         // t0: {2}; t1: {9,9,9}; B=1, R=1. The 2 is sent at t0 (pool
         // empty after), so the overflow at t1 costs a 9.
         let s = units(&[&[2], &[9, 9, 9]]);
-        assert_eq!(benefit_of_frames(s.frames(), 1, 1), 2 + 18);
+        assert_eq!(benefit_of_frames(&frames(&s), 1, 1), 2 + 18);
     }
 }

@@ -66,9 +66,8 @@ pub fn satisfies_interval_bounds(
     buffer: Bytes,
     rate: Bytes,
 ) -> bool {
-    let frames = stream.frames();
-    let per_frame: Vec<(u64, Bytes)> = frames
-        .iter()
+    let per_frame: Vec<(u64, Bytes)> = stream
+        .frames()
         .map(|f| {
             (
                 f.time,
@@ -123,7 +122,7 @@ mod tests {
     }
 
     fn all_ids(stream: &InputStream) -> HashSet<SliceId> {
-        stream.slices().map(|s| s.id).collect()
+        stream.slices().iter().map(|s| s.id).collect()
     }
 
     #[test]
@@ -179,6 +178,7 @@ mod tests {
             let s = b.build();
             let accepted: HashSet<SliceId> = s
                 .slices()
+                .iter()
                 .filter(|_| rng.chance(0.6))
                 .map(|sl| sl.id)
                 .collect();

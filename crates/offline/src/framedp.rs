@@ -168,7 +168,7 @@ fn solve(
     let rejected = want_plan.then(|| {
         let mut rejected = HashSet::new();
         let mut q = best_q;
-        for (frame, layer) in stream.frames().iter().zip(&layers).rev() {
+        for (frame, layer) in stream.frames().zip(&layers).rev() {
             let step = layer[q];
             if let Some(s) = frame.slices.first() {
                 if !step.accepted {

@@ -14,12 +14,12 @@
 //! claim that "one can significantly reduce the peak bandwidth using
 //! only a relatively modest amount of space" becomes a measured curve.
 
-use rts_stream::{Bytes, InputStream, Time};
+use rts_stream::{Bytes, Frame, InputStream, Time};
 
 /// The peak rate: the minimal lossless link rate with no smoothing at
 /// all (`D = 0`, cut-through). Equals the largest single-step arrival.
 pub fn peak_rate(stream: &InputStream) -> Bytes {
-    stream.frames().iter().map(|f| f.bytes()).max().unwrap_or(0)
+    stream.frames().map(|f| f.bytes()).max().unwrap_or(0)
 }
 
 /// The minimal link rate that delivers every byte of `stream` with
@@ -32,7 +32,7 @@ pub fn peak_rate(stream: &InputStream) -> Bytes {
 /// Monotone non-increasing in `delay`; `peak_rate` at `delay = 0` and
 /// approaching the average rate as `delay → ∞`.
 pub fn min_lossless_rate(stream: &InputStream, delay: Time) -> Bytes {
-    let frames = stream.frames();
+    let frames: Vec<Frame<'_>> = stream.frames().collect();
     let mut best: Bytes = if stream.total_bytes() > 0 { 1 } else { 0 };
     for i in 0..frames.len() {
         let mut sum: Bytes = 0;
@@ -69,7 +69,7 @@ pub fn min_lossless_delay(stream: &InputStream, rate: Bytes) -> Option<Time> {
         rate > 0,
         "link rate must be positive for a non-empty stream"
     );
-    let frames = stream.frames();
+    let frames: Vec<Frame<'_>> = stream.frames().collect();
     let mut best: Time = 0;
     for i in 0..frames.len() {
         let mut sum: Bytes = 0;

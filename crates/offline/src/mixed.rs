@@ -142,7 +142,7 @@ fn solve(
         // accepted subset of the recorded total size.
         let mut rejected = HashSet::new();
         let mut q = best_q;
-        for (frame, layer) in stream.frames().iter().zip(&layers).rev() {
+        for (frame, layer) in stream.frames().zip(&layers).rev() {
             let step = layer[q];
             let mut chosen: Vec<bool> = vec![false; frame.slices.len()];
             reconstruct_subset(frame, step_cap, step.take as usize, &mut chosen);
@@ -160,12 +160,12 @@ fn solve(
 
 /// Fills `sack[s]` with the best weight of an accepted subset of the
 /// frame totalling exactly `s` bytes.
-fn frame_knapsack(frame: &rts_stream::Frame, step_cap: usize, sack: &mut [Option<Weight>]) {
+fn frame_knapsack(frame: rts_stream::Frame<'_>, step_cap: usize, sack: &mut [Option<Weight>]) {
     for v in sack.iter_mut() {
         *v = None;
     }
     sack[0] = Some(0);
-    for s in &frame.slices {
+    for s in frame.slices {
         let size = s.size as usize;
         if size > step_cap {
             continue; // individually unacceptable
@@ -184,7 +184,7 @@ fn frame_knapsack(frame: &rts_stream::Frame, step_cap: usize, sack: &mut [Option
 /// Recomputes the frame's knapsack with full decision tracking and
 /// marks in `chosen` the max-weight subset totalling exactly `take`.
 fn reconstruct_subset(
-    frame: &rts_stream::Frame,
+    frame: rts_stream::Frame<'_>,
     step_cap: usize,
     take: usize,
     chosen: &mut [bool],
@@ -347,6 +347,7 @@ mod tests {
             );
             let accepted: std::collections::HashSet<_> = stream
                 .slices()
+                .iter()
                 .map(|s| s.id)
                 .filter(|id| !rejected.contains(id))
                 .collect();
@@ -356,6 +357,7 @@ mod tests {
             );
             let weight: Weight = stream
                 .slices()
+                .iter()
                 .filter(|s| accepted.contains(&s.id))
                 .map(|s| s.weight)
                 .sum();

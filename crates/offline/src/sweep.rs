@@ -227,7 +227,7 @@ mod tests {
             assert!(levels.uses_levels());
             // Cap 0 forces the push-out path unless the stream has no
             // weighted slices at all (an empty table still fits).
-            let weighted = stream.slices().any(|s| s.weight > 0);
+            let weighted = stream.slices().iter().any(|s| s.weight > 0);
             assert_eq!(pushout.uses_levels(), !weighted);
             for b in [0, 1, 2, 5, 11] {
                 for r in [1, 2, 3] {

@@ -31,7 +31,7 @@
 
 use std::collections::{BTreeMap, HashSet};
 
-use rts_stream::{Bytes, InputStream, SliceId, Weight};
+use rts_stream::{Bytes, Frame, InputStream, SliceId, Weight};
 
 use crate::chain;
 use crate::error::OfflineError;
@@ -59,7 +59,8 @@ pub fn optimal_unit_benefit(
 ) -> Result<Weight, OfflineError> {
     assert!(rate > 0, "link rate must be positive");
     chain::validate_unit(stream)?;
-    Ok(chain::benefit_of_frames(stream.frames(), buffer, rate))
+    let frames: Vec<Frame<'_>> = stream.frames().collect();
+    Ok(chain::benefit_of_frames(&frames, buffer, rate))
 }
 
 /// Like [`optimal_unit_benefit`], but also returns the set of slices an
@@ -159,7 +160,7 @@ fn solve_flow(
     let mut zero_weight: Vec<SliceId> = Vec::new();
     for frame in stream.frames() {
         let mut classes: BTreeMap<Weight, Vec<SliceId>> = BTreeMap::new();
-        for s in &frame.slices {
+        for s in frame.slices {
             if s.weight == 0 {
                 zero_weight.push(s.id); // cannot add profit: reject
             } else {
@@ -225,9 +226,8 @@ pub fn optimal_unit_throughput(
 ) -> Result<u64, OfflineError> {
     assert!(rate > 0, "link rate must be positive");
     chain::validate_unit(stream)?;
-    let frames = stream.frames();
-    let times: Vec<_> = frames.iter().map(|f| f.time).collect();
-    let counts: Vec<u64> = frames.iter().map(|f| f.slices.len() as u64).collect();
+    let times: Vec<_> = stream.frames().map(|f| f.time).collect();
+    let counts: Vec<u64> = stream.frames().map(|f| f.slices.len() as u64).collect();
     Ok(chain::rank_count(&times, &counts, buffer, rate))
 }
 
@@ -356,12 +356,14 @@ mod tests {
             for rejected in [&chain_rej, &flow_rej] {
                 let kept: Weight = s
                     .slices()
+                    .iter()
                     .filter(|sl| !rejected.contains(&sl.id))
                     .map(|sl| sl.weight)
                     .sum();
                 assert_eq!(kept, chain_benefit);
                 let accepted: HashSet<SliceId> = s
                     .slices()
+                    .iter()
                     .map(|sl| sl.id)
                     .filter(|id| !rejected.contains(id))
                     .collect();

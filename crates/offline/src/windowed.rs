@@ -35,7 +35,7 @@
 //! sandwich (and the `B = 0` equality) on seeded random instances
 //! against the exact solver.
 
-use rts_stream::{Bytes, InputStream, Weight};
+use rts_stream::{Bytes, Frame, InputStream, Weight};
 
 use crate::chain;
 use crate::error::OfflineError;
@@ -74,7 +74,7 @@ pub fn optimal_unit_windowed(
     assert!(rate > 0, "link rate must be positive");
     assert!(window > 0, "window must span at least one step");
     chain::validate_unit(stream)?;
-    let frames = stream.frames();
+    let frames: Vec<Frame<'_>> = stream.frames().collect();
     let mut benefit: Weight = 0;
     let mut windows = 0usize;
     let mut start = 0usize;
@@ -89,7 +89,7 @@ pub fn optimal_unit_windowed(
         windows += 1;
         start = end;
     }
-    let w_max = stream.slices().map(|s| s.weight).max().unwrap_or(0);
+    let w_max = stream.slices().iter().map(|s| s.weight).max().unwrap_or(0);
     let seams = windows.saturating_sub(1) as u64;
     Ok(WindowedOptimal {
         benefit,

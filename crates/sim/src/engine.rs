@@ -63,15 +63,16 @@ impl SimConfig {
 }
 
 /// The outcome of a simulation: the full schedule record and aggregate
-/// metrics.
+/// metrics. The record borrows the simulated stream's slices, so a
+/// report lives no longer than its stream (`'s`).
 #[derive(Debug, Clone)]
-pub struct SimReport {
+pub struct SimReport<'s> {
     /// The configuration that produced this schedule.
     pub config: SimConfig,
     /// Name of the drop policy used.
     pub policy: &'static str,
     /// Per-slice and per-step record (Definition 2.2 functions).
-    pub record: ScheduleRecord,
+    pub record: ScheduleRecord<'s>,
     /// Aggregate metrics.
     pub metrics: Metrics,
 }
@@ -103,7 +104,11 @@ pub struct SimReport {
 /// Panics if the schedule fails to drain within a generous horizon
 /// (`last arrival + P + D + total bytes / R + 4` steps) — impossible for
 /// a work-conserving server unless a policy misbehaves.
-pub fn simulate<P: DropPolicy>(stream: &InputStream, config: SimConfig, policy: P) -> SimReport {
+pub fn simulate<P: DropPolicy>(
+    stream: &InputStream,
+    config: SimConfig,
+    policy: P,
+) -> SimReport<'_> {
     let link = Link::new(config.params.link_delay);
     simulate_with_link(stream, config, link, policy)
 }
@@ -113,12 +118,12 @@ pub fn simulate<P: DropPolicy>(stream: &InputStream, config: SimConfig, policy: 
 /// submission, drop, and playout is emitted as it happens, and each slot
 /// closes with an [`Event::SlotEnd`] state sample. With a
 /// [`NoopProbe`] this is exactly [`simulate`].
-pub fn simulate_probed<P: DropPolicy, Pr: Probe>(
-    stream: &InputStream,
+pub fn simulate_probed<'s, P: DropPolicy, Pr: Probe>(
+    stream: &'s InputStream,
     config: SimConfig,
     policy: P,
     probe: &mut Pr,
-) -> SimReport {
+) -> SimReport<'s> {
     let link = Link::new(config.params.link_delay);
     simulate_with_link_probed(stream, config, link, policy, probe)
 }
@@ -142,19 +147,19 @@ pub fn simulate_with_link<P: DropPolicy, L: LinkModel>(
     config: SimConfig,
     link: L,
     policy: P,
-) -> SimReport {
+) -> SimReport<'_> {
     simulate_with_link_probed(stream, config, link, policy, &mut NoopProbe)
 }
 
 /// [`simulate_with_link`] with an observability probe (see
 /// [`simulate_probed`] for the events emitted).
-pub fn simulate_with_link_probed<P: DropPolicy, L: LinkModel, Pr: Probe>(
-    stream: &InputStream,
+pub fn simulate_with_link_probed<'s, P: DropPolicy, L: LinkModel, Pr: Probe>(
+    stream: &'s InputStream,
     config: SimConfig,
     mut link: L,
     policy: P,
     probe: &mut Pr,
-) -> SimReport {
+) -> SimReport<'s> {
     let params = config.params;
     let mut server = Server::new(params.buffer, params.rate, policy);
     let mut client = Client::new(config.client_capacity(), params.delay, params.link_delay);
@@ -190,7 +195,7 @@ pub fn simulate_with_link_probed<P: DropPolicy, L: LinkModel, Pr: Probe>(
         probe.on_event(&Event::RunStart { time: 0, sessions: 1 });
     }
 
-    let mut frames = stream.frames().iter().peekable();
+    let mut frames = stream.frames().peekable();
     let mut t: Time = 0;
     // Per-slot scratch, allocated once and reused across the whole run.
     let mut sstep = ServerStep::default();
@@ -201,7 +206,7 @@ pub fn simulate_with_link_probed<P: DropPolicy, L: LinkModel, Pr: Probe>(
         let arrivals: &[_] = match frames.peek() {
             Some(f) if f.time == t => {
                 let f = frames.next().expect("peeked");
-                &f.slices
+                f.slices
             }
             _ => &[],
         };

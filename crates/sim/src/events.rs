@@ -120,7 +120,6 @@ mod tests {
     fn slice(id: u64, arrival: Time, size: Bytes) -> Slice {
         Slice {
             id: SliceId(id),
-            frame: arrival,
             arrival,
             size,
             weight: size,
@@ -141,7 +140,7 @@ mod tests {
     fn server_burst_reports_admissions_overflow_drops_and_sends() {
         // B=2, R=1: a burst of 5 → 5 admitted, 2 dropped, 1 byte sent.
         let stream = InputStream::from_frames([vec![SliceSpec::unit(); 5]]);
-        let arrivals = &stream.frames()[0].slices;
+        let arrivals = stream.frame(0).slices;
         let mut server = Server::new(2, 1, TailDrop::new());
         let step = server.step(0, arrivals);
         let mut probe = VecProbe::new();
@@ -252,7 +251,7 @@ mod tests {
             }
         }
         let stream = InputStream::from_frames([vec![SliceSpec::unit(); 5]]);
-        let arrivals = &stream.frames()[0].slices;
+        let arrivals = stream.frame(0).slices;
         let step = Server::new(2, 1, TailDrop::new()).step(0, arrivals);
         admitted(&mut Refuses, arrivals);
         server_step(&mut Refuses, 0, &step);

@@ -139,7 +139,6 @@ mod tests {
             time,
             slice: Slice {
                 id: SliceId(id),
-                frame: 0,
                 arrival: 0,
                 size: 1,
                 weight: 1,

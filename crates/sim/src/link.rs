@@ -146,7 +146,6 @@ mod tests {
             time,
             slice: Slice {
                 id: SliceId(id),
-                frame: 0,
                 arrival: 0,
                 size: bytes,
                 weight: 1,

@@ -117,7 +117,7 @@ impl Metrics {
     /// weights and client-drop reasons into fixed arrays; the maps are
     /// built once at the end. A kind appears iff some slice of it was
     /// offered (or played), a reason iff some drop had it.
-    pub fn from_record(record: &ScheduleRecord) -> Metrics {
+    pub fn from_record(record: &ScheduleRecord<'_>) -> Metrics {
         let mut m = Metrics::default();
         let mut offered_by_kind = [None::<Weight>; KINDS.len()];
         let mut benefit_by_kind = [None::<Weight>; KINDS.len()];
@@ -238,7 +238,8 @@ mod tests {
     use crate::record::{Fate, StepSample};
     use rts_stream::{InputStream, SliceSpec};
 
-    fn resolved_record() -> ScheduleRecord {
+    /// Metrics of a three-slice record with one slice of each fate.
+    fn resolved_metrics() -> Metrics {
         let stream = InputStream::from_frames([vec![
             SliceSpec::new(2, 24, FrameKind::I),
             SliceSpec::new(1, 1, FrameKind::B),
@@ -262,12 +263,12 @@ mod tests {
             sent_bytes: 2,
             link_in_flight: 2,
         });
-        r
+        Metrics::from_record(&r)
     }
 
     #[test]
     fn aggregates_by_fate() {
-        let m = Metrics::from_record(&resolved_record());
+        let m = resolved_metrics();
         assert_eq!(m.offered_bytes, 6);
         assert_eq!(m.offered_weight, 49);
         assert_eq!(m.played_bytes, 2);
@@ -283,13 +284,14 @@ mod tests {
 
     #[test]
     fn conservation_holds_on_resolved_records() {
-        let m = Metrics::from_record(&resolved_record());
-        m.check_conservation().expect("resolved record conserves bytes");
+        resolved_metrics()
+            .check_conservation()
+            .expect("resolved record conserves bytes");
     }
 
     #[test]
     fn conservation_reports_the_delta() {
-        let mut m = Metrics::from_record(&resolved_record());
+        let mut m = resolved_metrics();
         m.played_bytes += 2; // double count
         let err = m.check_conservation().unwrap_err();
         assert_eq!(err.delta, 2);
@@ -315,7 +317,7 @@ mod tests {
 
     #[test]
     fn loss_fractions() {
-        let m = Metrics::from_record(&resolved_record());
+        let m = resolved_metrics();
         assert_eq!(m.lost_bytes(), 4);
         assert_eq!(m.lost_weight(), 25);
         assert!((m.weighted_loss() - 25.0 / 49.0).abs() < 1e-12);
@@ -325,7 +327,7 @@ mod tests {
 
     #[test]
     fn per_kind_weights() {
-        let m = Metrics::from_record(&resolved_record());
+        let m = resolved_metrics();
         assert_eq!(m.offered_weight_by_kind[&FrameKind::I], 24);
         assert_eq!(m.benefit_by_kind.get(&FrameKind::P), None);
         assert_eq!(m.benefit_by_kind[&FrameKind::I], 24);
@@ -361,7 +363,7 @@ mod tests {
 
     #[test]
     fn step_maxima() {
-        let m = Metrics::from_record(&resolved_record());
+        let m = resolved_metrics();
         assert_eq!(m.server_occupancy_max, 4);
         assert_eq!(m.client_occupancy_max, 1);
         assert_eq!(m.client_peak_max, 3);

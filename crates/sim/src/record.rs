@@ -83,8 +83,8 @@ enum FateTag {
 }
 
 /// The per-slice column the engine writes while it runs: send times and
-/// fate, sentinel-coded in 32 bytes. The slices themselves live in a
-/// separate column that the engine only reads.
+/// fate, sentinel-coded in 32 bytes. The slices themselves are the
+/// stream's own column, which the record borrows and never copies.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Outcome {
     first_send: Time,
@@ -127,29 +127,25 @@ impl Outcome {
 
 /// The complete record of one simulated schedule.
 ///
-/// Slices and their outcomes are stored as two columns indexed by slice
-/// id; [`SliceRecord`] is the by-value view that joins them.
+/// Slices and their outcomes are two columns indexed by slice id: the
+/// slices are the stream's column, borrowed for the record's lifetime
+/// `'s`, and only the outcomes and the step series belong to the
+/// record. [`SliceRecord`] is the by-value view that joins them.
 #[derive(Debug, Clone, Default)]
-pub struct ScheduleRecord {
-    slices: Vec<Slice>,
+pub struct ScheduleRecord<'s> {
+    slices: &'s [Slice],
     outcomes: Vec<Outcome>,
     steps: Vec<StepSample>,
 }
 
-impl ScheduleRecord {
-    /// Creates a record holding every slice of `stream` (in id order),
-    /// all unresolved.
-    pub fn for_stream(stream: &InputStream) -> Self {
-        let n = stream.slice_count();
-        let mut slices = Vec::with_capacity(n);
-        slices.extend(stream.slices().copied());
-        debug_assert!(
-            slices.iter().enumerate().all(|(i, s)| s.id.index() == i),
-            "slice ids must be dense and in stream order"
-        );
+impl<'s> ScheduleRecord<'s> {
+    /// Creates a record over every slice of `stream` (in id order), all
+    /// unresolved.
+    pub fn for_stream(stream: &'s InputStream) -> Self {
+        let slices = stream.slices();
         ScheduleRecord {
             slices,
-            outcomes: vec![Outcome::UNRESOLVED; n],
+            outcomes: vec![Outcome::UNRESOLVED; slices.len()],
             steps: Vec::new(),
         }
     }
@@ -185,7 +181,7 @@ impl ScheduleRecord {
 
     /// The slice and outcome columns side by side, in id order (the
     /// metrics fold reads these without building [`SliceRecord`]s).
-    pub(crate) fn columns(&self) -> impl Iterator<Item = (&Slice, &Outcome)> + '_ {
+    pub(crate) fn columns(&self) -> impl Iterator<Item = (&'s Slice, &Outcome)> + '_ {
         self.slices.iter().zip(&self.outcomes)
     }
 
@@ -237,17 +233,17 @@ mod tests {
     use super::*;
     use rts_stream::{FrameKind, SliceSpec};
 
-    fn record() -> ScheduleRecord {
-        let stream = InputStream::from_frames([
+    fn stream() -> InputStream {
+        InputStream::from_frames([
             vec![SliceSpec::new(2, 5, FrameKind::I)],
             vec![SliceSpec::unit()],
-        ]);
-        ScheduleRecord::for_stream(&stream)
+        ])
     }
 
     #[test]
     fn prepopulated_unresolved() {
-        let r = record();
+        let stream = stream();
+        let r = ScheduleRecord::for_stream(&stream);
         assert_eq!(r.slices().len(), 2);
         assert!(r.slices().all(|s| s.fate.is_none()));
         assert_eq!(r.slice(SliceId(1)).slice.arrival, 1);
@@ -255,7 +251,8 @@ mod tests {
 
     #[test]
     fn send_notes_first_and_last() {
-        let mut r = record();
+        let stream = stream();
+        let mut r = ScheduleRecord::for_stream(&stream);
         r.note_send(SliceId(0), 3, false);
         r.note_send(SliceId(0), 4, true);
         let s = r.slice(SliceId(0));
@@ -265,7 +262,8 @@ mod tests {
 
     #[test]
     fn resolve_and_played_iterator() {
-        let mut r = record();
+        let stream = stream();
+        let mut r = ScheduleRecord::for_stream(&stream);
         r.resolve(SliceId(0), Fate::Played { playout: 9 });
         r.resolve(SliceId(1), Fate::ServerDropped { time: 1 });
         let played: Vec<_> = r.played().collect();
@@ -277,7 +275,8 @@ mod tests {
 
     #[test]
     fn step_samples_accumulate() {
-        let mut r = record();
+        let stream = stream();
+        let mut r = ScheduleRecord::for_stream(&stream);
         r.push_step(StepSample {
             time: 0,
             server_occupancy: 2,

@@ -101,12 +101,12 @@ pub fn run_server_only_probed<P: DropPolicy, Pr: Probe>(
     if probe.enabled() {
         probe.on_event(&Event::RunStart { time: 0, sessions: 1 });
     }
-    let mut frames = stream.frames().iter().peekable();
+    let mut frames = stream.frames().peekable();
     let mut t = 0;
     let mut step = rts_core::ServerStep::default();
     while frames.peek().is_some() || !server.is_drained() {
         let arrivals: &[_] = match frames.next_if(|f| f.time == t) {
-            Some(f) => &f.slices,
+            Some(f) => f.slices,
             None => &[],
         };
         server.step_into(t, arrivals, &mut step);
@@ -175,7 +175,7 @@ pub fn run_server_with_rate_schedule<P: DropPolicy>(
     };
 
     let mut changes = schedule.iter().copied().peekable();
-    let mut frames = stream.frames().iter().peekable();
+    let mut frames = stream.frames().peekable();
     let mut t = 0;
     let mut step = rts_core::ServerStep::default();
     loop {
@@ -187,7 +187,7 @@ pub fn run_server_with_rate_schedule<P: DropPolicy>(
             changes.next();
         }
         let arrivals: &[_] = match frames.peek() {
-            Some(f) if f.time == t => &frames.next().expect("peeked").slices,
+            Some(f) if f.time == t => frames.next().expect("peeked").slices,
             _ => &[],
         };
         server.step_into(t, arrivals, &mut step);

@@ -51,7 +51,7 @@ impl Percentiles {
     }
 }
 
-impl ScheduleRecord {
+impl ScheduleRecord<'_> {
     /// Order statistics of a per-step quantity, e.g.
     /// `record.step_percentiles(|s| s.server_occupancy)`.
     pub fn step_percentiles(&self, f: impl Fn(&StepSample) -> Bytes) -> Percentiles {

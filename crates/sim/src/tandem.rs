@@ -251,7 +251,7 @@ where
         probe.on_event(&Event::RunStart { time: 0, sessions: hops.len() as u32 });
     }
 
-    let mut frames = stream.frames().iter().peekable();
+    let mut frames = stream.frames().peekable();
     let mut t: Time = 0;
     // Per-slot scratch shared by every stage (stages run sequentially
     // within a slot), allocated once for the whole run.
@@ -264,7 +264,7 @@ where
 
         // Hop 0: source arrivals.
         let arrivals: &[_] = match frames.peek() {
-            Some(f) if f.time == t => &frames.next().expect("peeked").slices,
+            Some(f) if f.time == t => frames.next().expect("peeked").slices,
             _ => &[],
         };
         origin.step_into(t, arrivals, &mut step);

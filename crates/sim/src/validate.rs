@@ -29,7 +29,7 @@ use crate::record::Fate;
 /// Additionally, when the configuration is balanced (`B = R·D`,
 /// `Bc = B`), Lemmas 3.3/3.4 say the client never discards anything;
 /// that too is enforced.
-pub fn validate(report: &SimReport) -> Result<(), Vec<String>> {
+pub fn validate(report: &SimReport<'_>) -> Result<(), Vec<String>> {
     let mut errs = Vec::new();
     let params = report.config.params;
     let (b, r) = (params.buffer, params.rate);

@@ -451,7 +451,6 @@ impl LiveSession {
         let mut emit = |size: Bytes, weight: Weight| {
             scratch.push(Slice {
                 id: SliceId(*next),
-                frame: *next,
                 arrival: t,
                 size,
                 weight,
@@ -598,9 +597,12 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
+/// A slice's snapshot record. The word after the id is the frame word
+/// of the version-1 layout; the daemon's frames are its slices, so it
+/// repeats the id, and [`read_slice`] skips it.
 fn put_slice(out: &mut Vec<u8>, s: &Slice) {
     put_u64(out, s.id.0);
-    put_u64(out, s.frame);
+    put_u64(out, s.id.0);
     put_u64(out, s.arrival);
     put_u64(out, s.size);
     put_u64(out, s.weight);
@@ -609,7 +611,7 @@ fn put_slice(out: &mut Vec<u8>, s: &Slice) {
 
 fn read_slice(r: &mut SnapReader<'_>) -> Result<Slice, SnapshotError> {
     let id = SliceId(r.u64()?);
-    let frame = r.u64()?;
+    let _frame = r.u64()?;
     let arrival = r.u64()?;
     let size = r.u64()?;
     let weight = r.u64()?;
@@ -619,7 +621,6 @@ fn read_slice(r: &mut SnapReader<'_>) -> Result<Slice, SnapshotError> {
     }
     Ok(Slice {
         id,
-        frame,
         arrival,
         size,
         weight,
@@ -1125,6 +1126,53 @@ mod tests {
             assert_eq!(restored.counters(), twin.counters());
             assert!(restored.counters().conserved());
         }
+    }
+
+    /// The CBR session of the roundtrip test after 7 slots of 1-byte
+    /// grants: a partly sent head, a full server queue, chunks on the
+    /// link and buffered playout.
+    fn mid_flight() -> LiveSession {
+        let mut s = session(3, 4, 2, ArrivalSource::cbr(3, 2, 5, Some(12)));
+        let mut sstep = ServerStep::default();
+        let mut delivered = Vec::new();
+        let mut scratch = Vec::new();
+        for _ in 0..7 {
+            s.begin_slot(&mut scratch);
+            s.step(1, &mut sstep, &mut delivered);
+        }
+        s
+    }
+
+    /// Where the first server-queue slice record starts: after the
+    /// 162-byte session header, the 42-byte CBR source and the queue's
+    /// u32 count. The record's second word is the old frame word.
+    const FIRST_QUEUED_SLICE: usize = 162 + 42 + 4;
+
+    #[test]
+    fn snapshot_image_is_pinned() {
+        // Length and CRC-32 of this state's version-1 image, as the
+        // encoder wrote it while `Slice` still carried a frame field:
+        // the layout must not drift without a `SNAPSHOT_VERSION` bump.
+        let mut bytes = Vec::new();
+        mid_flight().encode_state(&mut bytes);
+        assert_eq!(bytes.len(), 841);
+        assert_eq!(crate::snapshot::crc32(&bytes), 0xfcb5_5469);
+    }
+
+    #[test]
+    fn decode_ignores_the_frame_word() {
+        let mut bytes = Vec::new();
+        mid_flight().encode_state(&mut bytes);
+        let at = FIRST_QUEUED_SLICE;
+        let word = |b: &[u8], i: usize| u64::from_le_bytes(b[i..i + 8].try_into().unwrap());
+        assert_eq!(word(&bytes, at), 4, "the queue head is slice 4");
+        assert_eq!(word(&bytes, at + 8), 4, "the frame word repeats the id");
+        let mut other = bytes.clone();
+        other[at + 8..at + 16].copy_from_slice(&0xdead_beef_u64.to_le_bytes());
+        let restored = LiveSession::decode_state(&other).expect("a foreign frame word decodes");
+        let mut again = Vec::new();
+        restored.encode_state(&mut again);
+        assert_eq!(again, bytes, "the frame word must not change the session");
     }
 
     #[test]

@@ -2,17 +2,23 @@ use crate::{Bytes, Slice, Time, Weight};
 
 /// A frame: the set of slices generated by the source in one time step
 /// (the paper's `A(t)`, Definition 2.3).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Frame {
+///
+/// A frame is a view: its slices are a span of the stream's one
+/// id-ordered slice column ([`InputStream::slices`]), so a frame costs
+/// nothing to produce or copy.
+///
+/// [`InputStream::slices`]: crate::InputStream::slices
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Frame<'a> {
     /// Position of the frame within the stream (0-based).
     pub index: u64,
     /// The time step at which every slice of this frame arrives.
     pub time: Time,
-    /// The slices of the frame, in declaration order.
-    pub slices: Vec<Slice>,
+    /// The slices of the frame, in declaration (= id) order.
+    pub slices: &'a [Slice],
 }
 
-impl Frame {
+impl Frame<'_> {
     /// Total size of the frame in bytes (`|A(t)|`).
     pub fn bytes(&self) -> Bytes {
         self.slices.iter().map(|s| s.size).sum()
@@ -39,28 +45,32 @@ mod tests {
     use super::*;
     use crate::{FrameKind, SliceId};
 
-    fn mk(sizes_weights: &[(Bytes, Weight)]) -> Frame {
+    fn slices(sizes_weights: &[(Bytes, Weight)]) -> Vec<Slice> {
+        sizes_weights
+            .iter()
+            .enumerate()
+            .map(|(i, &(size, weight))| Slice {
+                id: SliceId(i as u64),
+                arrival: 3,
+                size,
+                weight,
+                kind: FrameKind::Generic,
+            })
+            .collect()
+    }
+
+    fn mk(slices: &[Slice]) -> Frame<'_> {
         Frame {
             index: 0,
             time: 3,
-            slices: sizes_weights
-                .iter()
-                .enumerate()
-                .map(|(i, &(size, weight))| Slice {
-                    id: SliceId(i as u64),
-                    frame: 0,
-                    arrival: 3,
-                    size,
-                    weight,
-                    kind: FrameKind::Generic,
-                })
-                .collect(),
+            slices,
         }
     }
 
     #[test]
     fn aggregates() {
-        let f = mk(&[(2, 5), (3, 7)]);
+        let s = slices(&[(2, 5), (3, 7)]);
+        let f = mk(&s);
         assert_eq!(f.bytes(), 5);
         assert_eq!(f.weight(), 12);
         assert_eq!(f.len(), 2);

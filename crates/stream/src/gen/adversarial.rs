@@ -119,18 +119,18 @@ mod tests {
     fn tightness_pattern_shape() {
         let s = buffer_ratio_tightness(4, 3);
         assert_eq!(s.total_bytes(), 12);
-        assert_eq!(s.frames().len(), 12); // 3 batches of 4 steps each
-        assert_eq!(s.frames()[0].slices.len(), 4);
-        assert!(s.frames()[1].is_empty());
-        assert_eq!(s.frames()[4].slices.len(), 4);
-        assert_eq!(s.frames()[4].time, 4);
+        assert_eq!(s.frame_count(), 12); // 3 batches of 4 steps each
+        assert_eq!(s.frame(0).slices.len(), 4);
+        assert!(s.frame(1).is_empty());
+        assert_eq!(s.frame(4).slices.len(), 4);
+        assert_eq!(s.frame(4).time, 4);
     }
 
     #[test]
     fn tightness_single_burst() {
         let s = buffer_ratio_tightness(1, 2);
-        assert_eq!(s.frames().len(), 2);
-        assert!(s.frames().iter().all(|f| f.slices.len() == 1));
+        assert_eq!(s.frame_count(), 2);
+        assert!(s.frames().all(|f| f.slices.len() == 1));
     }
 
     #[test]
@@ -140,10 +140,11 @@ mod tests {
         // b+1 low + b singles + b+1 high = 2b+2+b slices.
         assert_eq!(s.slice_count() as u64, 3 * b + 2);
         assert_eq!(s.total_weight(), (b + 1) + b * 7 + (b + 1) * 7);
-        assert_eq!(s.frames()[0].slices.len() as u64, b + 1);
-        assert!(s.frames()[0].slices.iter().all(|x| x.weight == 1));
-        assert_eq!(s.frames()[(b + 1) as usize].time, b + 1);
-        assert!(s.frames()[(b + 1) as usize]
+        assert_eq!(s.frame(0).slices.len() as u64, b + 1);
+        assert!(s.frame(0).slices.iter().all(|x| x.weight == 1));
+        assert_eq!(s.frame((b + 1) as usize).time, b + 1);
+        assert!(s
+            .frame((b + 1) as usize)
             .slices
             .iter()
             .all(|x| x.weight == 7));
@@ -159,14 +160,14 @@ mod tests {
     fn thm48_scenarios_differ_only_in_final_burst() {
         let a = two_scenario_adversary(4, 6, 1, 2, Scenario::EndAtT1);
         let b = two_scenario_adversary(4, 6, 1, 2, Scenario::BurstAfterT1);
-        assert_eq!(a.frames().len() + 1, b.frames().len());
+        assert_eq!(a.frame_count() + 1, b.frame_count());
         assert_eq!(
             a.total_weight() + 5 * 2,
             b.total_weight(),
             "burst adds (b+1) heavy slices"
         );
         // Common prefix is identical (sizes/weights/times).
-        for (fa, fb) in a.frames().iter().zip(b.frames()) {
+        for (fa, fb) in a.frames().zip(b.frames()) {
             assert_eq!(fa, fb);
         }
     }
@@ -174,7 +175,7 @@ mod tests {
     #[test]
     fn thm48_with_t1_zero_has_no_singles() {
         let s = two_scenario_adversary(2, 0, 1, 3, Scenario::BurstAfterT1);
-        assert_eq!(s.frames().len(), 2);
-        assert_eq!(s.frames()[1].time, 1);
+        assert_eq!(s.frame_count(), 2);
+        assert_eq!(s.frame(1).time, 1);
     }
 }

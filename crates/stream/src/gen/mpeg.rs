@@ -101,7 +101,7 @@ impl Default for MpegConfig {
 ///
 /// let trace = MpegSource::new(MpegConfig::cnn_like(), 42).frames(500);
 /// let stream = trace.materialize(Slicing::PerByte, WeightAssignment::MPEG_12_8_1);
-/// assert_eq!(stream.frames().len(), 500);
+/// assert_eq!(stream.frame_count(), 500);
 /// ```
 #[derive(Debug, Clone)]
 pub struct MpegSource {

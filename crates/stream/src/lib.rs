@@ -58,7 +58,7 @@ pub use frame::Frame;
 pub use merge::{merge, Merged};
 pub use slice::{byte_value_cmp, FrameKind, Slice, SliceId};
 pub use stats::StreamStats;
-pub use stream::{InputStream, SliceSpec, StreamBuilder};
+pub use stream::{Frames, InputStream, SliceSpec, StreamBuilder};
 pub use weight::WeightAssignment;
 
 /// Discrete time step (the paper's slotted-time model).

@@ -38,10 +38,8 @@ pub fn merge(streams: &[InputStream]) -> Merged {
     let mut origin = Vec::new();
 
     // Per-input cursor over its frames.
-    let mut cursors: Vec<std::iter::Peekable<_>> = streams
-        .iter()
-        .map(|s| s.frames().iter().peekable())
-        .collect();
+    let mut cursors: Vec<std::iter::Peekable<_>> =
+        streams.iter().map(|s| s.frames().peekable()).collect();
 
     for t in 0..horizon {
         let mut specs: Vec<SliceSpec> = Vec::new();
@@ -49,7 +47,7 @@ pub fn merge(streams: &[InputStream]) -> Merged {
             if let Some(f) = cursor.peek() {
                 if f.time == t {
                     let f = cursor.next().expect("peeked");
-                    for s in &f.slices {
+                    for s in f.slices {
                         specs.push(SliceSpec::new(s.size, s.weight, s.kind));
                         origin.push(idx);
                     }
@@ -93,7 +91,12 @@ mod tests {
         let a = stream(&[&[(1, 1)]]);
         let b = stream(&[&[(1, 2), (1, 3)]]);
         let m = merge(&[a, b]);
-        let origins: Vec<usize> = m.stream.slices().map(|s| m.origin_of(s.id)).collect();
+        let origins: Vec<usize> = m
+            .stream
+            .slices()
+            .iter()
+            .map(|s| m.origin_of(s.id))
+            .collect();
         assert_eq!(origins, vec![0, 1, 1]);
     }
 
@@ -102,7 +105,7 @@ mod tests {
         let a = stream(&[&[(1, 10)]]);
         let b = stream(&[&[(1, 20)]]);
         let m = merge(&[a, b]);
-        let weights: Vec<u64> = m.stream.slices().map(|s| s.weight).collect();
+        let weights: Vec<u64> = m.stream.slices().iter().map(|s| s.weight).collect();
         assert_eq!(weights, vec![10, 20]);
     }
 
@@ -120,7 +123,7 @@ mod tests {
         assert_eq!(m.stream.total_bytes(), a.total_bytes());
         assert_eq!(m.stream.slice_count(), a.slice_count());
         // Same per-slice data in the same order.
-        for (x, y) in a.slices().zip(m.stream.slices()) {
+        for (x, y) in a.slices().iter().zip(m.stream.slices()) {
             assert_eq!((x.size, x.weight, x.arrival), (y.size, y.weight, y.arrival));
         }
     }
@@ -132,7 +135,7 @@ mod tests {
         let a = stream(&[&[(10, 10)], &[], &[(10, 10)], &[]]);
         let b = stream(&[&[], &[(10, 10)], &[], &[(10, 10)]]);
         let m = merge(&[a, b]);
-        let sizes: Vec<u64> = m.stream.frames().iter().map(|f| f.bytes()).collect();
+        let sizes: Vec<u64> = m.stream.frames().map(|f| f.bytes()).collect();
         assert_eq!(sizes, vec![10, 10, 10, 10]);
     }
 }

@@ -88,8 +88,6 @@ impl fmt::Display for FrameKind {
 pub struct Slice {
     /// Stream-unique identifier (dense, arrival order).
     pub id: SliceId,
-    /// Index of the frame this slice belongs to.
-    pub frame: u64,
     /// Arrival time `AT(s)` at the server.
     pub arrival: Time,
     /// Size `|s| >= 1` in abstract bytes.
@@ -99,6 +97,10 @@ pub struct Slice {
     /// Frame kind (for per-kind loss accounting).
     pub kind: FrameKind,
 }
+
+// Every stage copies slices (server ring, link chunks, client queue),
+// so the layout stays at five words.
+const _: () = assert!(std::mem::size_of::<Slice>() <= 40);
 
 impl Slice {
     /// Compares this slice's byte value `w(s)/|s|` with another slice's,
@@ -140,7 +142,6 @@ mod tests {
     fn slice(id: u64, size: Bytes, weight: Weight) -> Slice {
         Slice {
             id: SliceId(id),
-            frame: 0,
             arrival: 0,
             size,
             weight,

@@ -29,25 +29,29 @@ impl Slicing {
     ///
     /// Panics if `Chunks(0)` is used.
     pub fn split(&self, size: Bytes) -> Vec<Bytes> {
+        self.sizes(size).collect()
+    }
+
+    /// The slice sizes of one frame of `size` bytes, in order: every
+    /// policy cuts chunks of one size, the last possibly smaller.
+    fn sizes(&self, size: Bytes) -> impl Iterator<Item = Bytes> {
+        let chunk = self.chunk(size);
+        (0..size.div_ceil(chunk)).map(move |i| chunk.min(size - i * chunk))
+    }
+
+    /// How many slices one frame of `size` bytes splits into.
+    fn count(&self, size: Bytes) -> Bytes {
+        size.div_ceil(self.chunk(size))
+    }
+
+    /// The chunk size this policy cuts a frame of `size` bytes into.
+    fn chunk(&self, size: Bytes) -> Bytes {
         match *self {
-            Slicing::PerByte => vec![1; size as usize],
-            Slicing::WholeFrame => {
-                if size == 0 {
-                    vec![]
-                } else {
-                    vec![size]
-                }
-            }
+            Slicing::PerByte => 1,
+            Slicing::WholeFrame => size.max(1),
             Slicing::Chunks(chunk) => {
                 assert!(chunk > 0, "chunk size must be positive");
-                let mut out = Vec::new();
-                let mut rem = size;
-                while rem > 0 {
-                    let take = rem.min(chunk);
-                    out.push(take);
-                    rem -= take;
-                }
-                out
+                chunk
             }
         }
     }
@@ -119,13 +123,16 @@ impl FrameSizeTrace {
     /// independent of the slicing granularity, which is what makes the
     /// byte-slice and frame-slice curves of Figures 5–6 comparable.
     pub fn materialize(&self, slicing: Slicing, weights: WeightAssignment) -> InputStream {
-        let mut b = StreamBuilder::new();
+        let slices: Bytes = self
+            .frames
+            .iter()
+            .map(|&(_, size)| slicing.count(size))
+            .sum();
+        let mut b = StreamBuilder::with_capacity(self.frames.len(), slices as usize);
         for (t, &(kind, size)) in self.frames.iter().enumerate() {
-            let specs: Vec<SliceSpec> = slicing
-                .split(size)
-                .into_iter()
-                .map(|sz| SliceSpec::new(sz, weights.weight_of(kind, sz), kind))
-                .collect();
+            let specs = slicing
+                .sizes(size)
+                .map(|sz| SliceSpec::new(sz, weights.weight_of(kind, sz), kind));
             b.frame(t as Time, specs);
         }
         b.build()
@@ -188,9 +195,9 @@ mod tests {
     fn materialize_timing() {
         let trace = FrameSizeTrace::new(vec![(FrameKind::Generic, 2), (FrameKind::Generic, 1)]);
         let s = trace.materialize(Slicing::WholeFrame, WeightAssignment::BySize);
-        assert_eq!(s.frames()[0].time, 0);
-        assert_eq!(s.frames()[1].time, 1);
-        assert_eq!(s.frames()[1].slices[0].weight, 1);
+        assert_eq!(s.frame(0).time, 0);
+        assert_eq!(s.frame(1).time, 1);
+        assert_eq!(s.frame(1).slices[0].weight, 1);
     }
 
     #[test]

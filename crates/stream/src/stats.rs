@@ -41,7 +41,7 @@ impl StreamStats {
     /// Computes statistics for `stream`.
     pub fn of(stream: &InputStream) -> StreamStats {
         let mut s = StreamStats {
-            frame_count: stream.frames().len() as u64,
+            frame_count: stream.frame_count() as u64,
             slice_count: stream.slice_count() as u64,
             total_bytes: stream.total_bytes(),
             total_weight: stream.total_weight(),
@@ -57,7 +57,7 @@ impl StreamStats {
             let fb = frame.bytes();
             s.max_frame_bytes = s.max_frame_bytes.max(fb);
             let mut kind_bytes: BTreeMap<FrameKind, Bytes> = BTreeMap::new();
-            for slice in &frame.slices {
+            for slice in frame.slices {
                 s.max_slice_bytes = s.max_slice_bytes.max(slice.size);
                 *s.bytes_by_kind.entry(slice.kind).or_default() += slice.size;
                 *s.weight_by_kind.entry(slice.kind).or_default() += slice.weight;

@@ -35,14 +35,25 @@ impl SliceSpec {
 /// [`InputStream::builder`].
 #[derive(Debug, Clone, Default)]
 pub struct StreamBuilder {
-    frames: Vec<Frame>,
-    next_id: u64,
+    stream: InputStream,
 }
 
 impl StreamBuilder {
     /// Creates an empty builder.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An empty builder with room for `frames` frames and `slices`
+    /// slices, so a caller that knows the stream's size up front fills
+    /// both columns without reallocating.
+    pub(crate) fn with_capacity(frames: usize, slices: usize) -> Self {
+        StreamBuilder {
+            stream: InputStream {
+                slices: Vec::with_capacity(slices),
+                frames: Vec::with_capacity(frames),
+            },
+        }
     }
 
     /// Appends a frame arriving at `time` with the given slices.
@@ -64,7 +75,8 @@ impl StreamBuilder {
         self
     }
 
-    /// Fallible variant of [`frame`](Self::frame).
+    /// Fallible variant of [`frame`](Self::frame). On error the builder
+    /// is left as it was.
     ///
     /// # Errors
     ///
@@ -75,7 +87,8 @@ impl StreamBuilder {
     where
         I: IntoIterator<Item = SliceSpec>,
     {
-        if let Some(last) = self.frames.last() {
+        let stream = &mut self.stream;
+        if let Some(last) = stream.frames.last() {
             if time <= last.time {
                 return Err(StreamError::NonMonotonicTime {
                     previous: last.time,
@@ -83,47 +96,64 @@ impl StreamBuilder {
                 });
             }
         }
-        let index = self.frames.len() as u64;
-        let mut out = Vec::new();
+        let start = stream.slices.len();
         for spec in slices {
             if spec.size == 0 {
+                stream.slices.truncate(start);
                 return Err(StreamError::EmptySlice { time });
             }
-            out.push(Slice {
-                id: SliceId(self.next_id + out.len() as u64),
-                frame: index,
+            stream.slices.push(Slice {
+                id: SliceId(stream.slices.len() as u64),
                 arrival: time,
                 size: spec.size,
                 weight: spec.weight,
                 kind: spec.kind,
             });
         }
-        self.next_id += out.len() as u64;
-        self.frames.push(Frame {
-            index,
+        stream.frames.push(Span {
             time,
-            slices: out,
+            end: stream.slices.len(),
         });
         Ok(self)
     }
 
     /// Finishes the builder and produces the stream.
     pub fn build(self) -> InputStream {
-        InputStream {
-            frames: self.frames,
-        }
+        self.stream
+    }
+}
+
+/// One frame's place in the slice column: its arrival time and the end
+/// of its slices (the frame starts where the previous one ends).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Span {
+    time: Time,
+    end: usize,
+}
+
+/// The `i`-th frame of a stream whose columns are `slices` and `spans`.
+fn frame_at<'a>(slices: &'a [Slice], spans: &[Span], i: usize) -> Frame<'a> {
+    let start = if i == 0 { 0 } else { spans[i - 1].end };
+    let span = spans[i];
+    Frame {
+        index: i as u64,
+        time: span.time,
+        slices: &slices[start..span.end],
     }
 }
 
 /// An input stream: a set of slices with arrival times (Definition 2.1),
 /// organized into frames.
 ///
-/// The stream is immutable once built; this guarantees that every
-/// algorithm, the offline optimum, and the validators all see exactly the
-/// same arrival sequence.
+/// The slices are stored once, as one column in id order; each frame is
+/// a span of that column plus its arrival time, handed out as a
+/// borrowed [`Frame`] view. The stream is immutable once built; this
+/// guarantees that every algorithm, the offline optimum, and the
+/// validators all see exactly the same arrival sequence.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct InputStream {
-    frames: Vec<Frame>,
+    slices: Vec<Slice>,
+    frames: Vec<Span>,
 }
 
 impl InputStream {
@@ -151,28 +181,47 @@ impl InputStream {
     }
 
     /// The frames of the stream, in arrival order.
-    pub fn frames(&self) -> &[Frame] {
-        &self.frames
+    pub fn frames(&self) -> Frames<'_> {
+        Frames {
+            slices: &self.slices,
+            spans: &self.frames,
+            front: 0,
+            back: self.frames.len(),
+        }
     }
 
-    /// Iterates over every slice in arrival (= id) order.
-    pub fn slices(&self) -> impl Iterator<Item = &Slice> + '_ {
-        self.frames.iter().flat_map(|f| f.slices.iter())
+    /// The frame at position `i` (0-based).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.frame_count()`.
+    pub fn frame(&self, i: usize) -> Frame<'_> {
+        frame_at(&self.slices, &self.frames, i)
+    }
+
+    /// Number of frames.
+    pub fn frame_count(&self) -> usize {
+        self.frames.len()
+    }
+
+    /// Every slice in arrival (= id) order: `slices()[i].id == SliceId(i)`.
+    pub fn slices(&self) -> &[Slice] {
+        &self.slices
     }
 
     /// Total number of slices.
     pub fn slice_count(&self) -> usize {
-        self.frames.iter().map(|f| f.slices.len()).sum()
+        self.slices.len()
     }
 
     /// Total size of the stream in bytes (`|B|` of Definition 2.1).
     pub fn total_bytes(&self) -> Bytes {
-        self.frames.iter().map(Frame::bytes).sum()
+        self.slices.iter().map(|s| s.size).sum()
     }
 
     /// Total weight of the stream (the maximum possible benefit).
     pub fn total_weight(&self) -> Weight {
-        self.frames.iter().map(Frame::weight).sum()
+        self.slices.iter().map(|s| s.weight).sum()
     }
 
     /// The arrival time of the last frame, or `None` for an empty stream.
@@ -194,40 +243,51 @@ impl InputStream {
     ///
     /// Ids are dense in arrival order, so this is a direct index.
     pub fn slice(&self, id: SliceId) -> Option<&Slice> {
-        // Binary-search the frame containing the id, then index within it.
-        let target = id.0;
-        let mut lo = 0usize;
-        let mut hi = self.frames.len();
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            let f = &self.frames[mid];
-            let first = f.slices.first().map(|s| s.id.0);
-            match first {
-                Some(first) if target < first => hi = mid,
-                Some(first) if target >= first + f.slices.len() as u64 => lo = mid + 1,
-                Some(first) => return Some(&f.slices[(target - first) as usize]),
-                None => {
-                    // Empty frame: ids continue on either side. Narrow by
-                    // scanning linearly from here (empty frames are rare).
-                    return self.slices().find(|s| s.id == id);
-                }
-            }
-        }
-        None
+        usize::try_from(id.0).ok().and_then(|i| self.slices.get(i))
     }
 }
 
-impl FromIterator<Frame> for InputStream {
-    /// Reassembles a stream from frames produced by another stream.
-    ///
-    /// Used by trace I/O; the frames must already carry consistent ids and
-    /// strictly increasing times (checked in debug builds).
-    fn from_iter<T: IntoIterator<Item = Frame>>(iter: T) -> Self {
-        let frames: Vec<Frame> = iter.into_iter().collect();
-        debug_assert!(frames.windows(2).all(|w| w[0].time < w[1].time));
-        InputStream { frames }
+/// Iterator over the frames of an [`InputStream`]; see
+/// [`InputStream::frames`].
+#[derive(Debug, Clone)]
+pub struct Frames<'a> {
+    slices: &'a [Slice],
+    spans: &'a [Span],
+    /// Next frame from the front.
+    front: usize,
+    /// One past the next frame from the back.
+    back: usize,
+}
+
+impl<'a> Iterator for Frames<'a> {
+    type Item = Frame<'a>;
+
+    fn next(&mut self) -> Option<Frame<'a>> {
+        if self.front == self.back {
+            return None;
+        }
+        let f = frame_at(self.slices, self.spans, self.front);
+        self.front += 1;
+        Some(f)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.back - self.front;
+        (n, Some(n))
     }
 }
+
+impl DoubleEndedIterator for Frames<'_> {
+    fn next_back(&mut self) -> Option<Self::Item> {
+        if self.front == self.back {
+            return None;
+        }
+        self.back -= 1;
+        Some(frame_at(self.slices, self.spans, self.back))
+    }
+}
+
+impl ExactSizeIterator for Frames<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -250,7 +310,7 @@ mod tests {
     #[test]
     fn builder_assigns_dense_ids_in_arrival_order() {
         let s = sample();
-        let ids: Vec<u64> = s.slices().map(|x| x.id.0).collect();
+        let ids: Vec<u64> = s.slices().iter().map(|x| x.id.0).collect();
         assert_eq!(ids, vec![0, 1, 2]);
         assert_eq!(s.slice_count(), 3);
     }
@@ -324,7 +384,7 @@ mod tests {
             vec![],
             vec![SliceSpec::unit(), SliceSpec::unit()],
         ]);
-        let times: Vec<Time> = s.frames().iter().map(|f| f.time).collect();
+        let times: Vec<Time> = s.frames().map(|f| f.time).collect();
         assert_eq!(times, vec![0, 1, 2]);
         assert_eq!(s.slice_count(), 3);
     }
@@ -337,9 +397,28 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_from_frame_iter() {
+    fn failed_frame_leaves_the_builder_unchanged() {
+        let mut b = InputStream::builder();
+        b.frame(0, [SliceSpec::unit()]);
+        let before = b.clone().build();
+        let bad = [SliceSpec::unit(), SliceSpec::new(0, 1, FrameKind::B)];
+        assert!(b.try_frame(1, bad).is_err());
+        assert_eq!(b.clone().build(), before);
+        b.frame(1, [SliceSpec::unit()]);
+        assert_eq!(b.build().slice(SliceId(1)).unwrap().arrival, 1);
+    }
+
+    #[test]
+    fn frames_are_views_of_the_slice_column() {
         let s = sample();
-        let t: InputStream = s.frames().iter().cloned().collect();
-        assert_eq!(s, t);
+        assert_eq!(s.frame_count(), 3);
+        assert_eq!(s.frames().len(), 3);
+        assert_eq!(s.frame(1).time, 2);
+        assert!(s.frame(1).is_empty());
+        assert_eq!(s.frame(2).slices, &s.slices()[2..]);
+        let back: Vec<Time> = s.frames().rev().map(|f| f.time).collect();
+        assert_eq!(back, vec![5, 2, 0]);
+        assert_eq!(s.frames().nth(2), Some(s.frame(2)));
+        assert_eq!(s.frames().nth(3), None);
     }
 }

@@ -38,7 +38,7 @@ pub fn write_stream(stream: &InputStream) -> String {
     out.push_str("# rts-stream trace v1\n");
     for frame in stream.frames() {
         let _ = writeln!(out, "frame {}", frame.time);
-        for s in &frame.slices {
+        for s in frame.slices {
             let _ = writeln!(out, "slice {} {} {}", s.size, s.weight, s.kind.letter());
         }
     }
@@ -234,7 +234,7 @@ mod tests {
         let text = "\n# header\nframe 0  # inline comment\nslice 1 5 G\n\n";
         let s = parse_stream(text).unwrap();
         assert_eq!(s.slice_count(), 1);
-        assert_eq!(s.slices().next().unwrap().weight, 5);
+        assert_eq!(s.slices()[0].weight, 5);
     }
 
     #[test]
@@ -361,9 +361,9 @@ mod tests {
         let s = b.build();
         let back = parse_stream(&write_stream(&s)).unwrap();
         assert_eq!(back, s);
-        assert!(back.frames().iter().all(|f| f.slices.len() == 1));
+        assert!(back.frames().all(|f| f.slices.len() == 1));
         // The time gap (frame 1 -> frame 5) survives the trip.
-        assert_eq!(back.frames()[2].time, 5);
+        assert_eq!(back.frame(2).time, 5);
     }
 
     #[test]
@@ -377,8 +377,8 @@ mod tests {
         let s = b.build();
         let back = parse_stream(&write_stream(&s)).unwrap();
         assert_eq!(back, s);
-        assert_eq!(back.frames().len(), 3);
-        assert!(back.frames()[1].slices.is_empty());
+        assert_eq!(back.frame_count(), 3);
+        assert!(back.frame(1).slices.is_empty());
     }
 
     #[test]
@@ -391,8 +391,8 @@ mod tests {
         let s = b.build();
         let back = parse_stream(&write_stream(&s)).unwrap();
         assert_eq!(back, s);
-        assert_eq!(back.frames()[0].slices[0].size, u64::MAX);
-        assert_eq!(back.frames()[1].time, u64::MAX);
+        assert_eq!(back.frame(0).slices[0].size, u64::MAX);
+        assert_eq!(back.frame(1).time, u64::MAX);
         // One past u64::MAX is a parse error, not a silent wrap.
         assert!(parse_stream("frame 0\nslice 18446744073709551616 1 G\n").is_err());
     }

@@ -161,23 +161,63 @@ fn markov_emits_two_sizes() {
     }
 }
 
-/// Builder ids are dense and ordered for arbitrary frame shapes.
+/// The slice column and its frame views agree for arbitrary frame
+/// shapes, including empty frames and time gaps: builder ids are dense
+/// and index the column, the frames tile it in order from either end,
+/// and every lookup and total matches its per-frame definition.
 #[test]
-fn builder_ids_dense() {
+fn frames_are_spans_of_the_slice_column() {
     let mut rng = SplitMix64::new(0x5EED_0008);
     for case in 0..CASES {
-        let frames: Vec<Vec<SliceSpec>> = (0..rng.range_u64(0, 9))
-            .map(|_| {
-                (0..rng.range_u64(0, 4))
-                    .map(|_| {
-                        SliceSpec::new(rng.range_u64(1, 4), rng.range_u64(0, 8), FrameKind::Generic)
-                    })
-                    .collect()
-            })
-            .collect();
-        let stream = InputStream::from_frames(frames);
-        for (i, s) in stream.slices().enumerate() {
+        let mut b = InputStream::builder();
+        let mut t = 0;
+        // Per frame: its time and its slices' (size, weight).
+        let mut model: Vec<(u64, Vec<(u64, u64)>)> = Vec::new();
+        for _ in 0..rng.range_u64(0, 12) {
+            t += rng.range_u64(1, 4);
+            let specs: Vec<(u64, u64)> = (0..rng.range_u64(0, 5))
+                .map(|_| (rng.range_u64(1, 6), rng.range_u64(0, 9)))
+                .collect();
+            b.frame(
+                t,
+                specs
+                    .iter()
+                    .map(|&(size, weight)| SliceSpec::new(size, weight, FrameKind::Generic)),
+            );
+            model.push((t, specs));
+        }
+        let stream = b.build();
+        let slices = stream.slices();
+        for (i, s) in slices.iter().enumerate() {
             assert_eq!(s.id.index(), i, "case {case}");
         }
+
+        assert_eq!(stream.frame_count(), model.len(), "case {case}");
+        assert_eq!(stream.frames().len(), model.len(), "case {case}");
+        let concat: Vec<_> = stream.frames().flat_map(|f| f.slices).copied().collect();
+        assert_eq!(concat, slices, "case {case}");
+        let forward: Vec<_> = stream.frames().collect();
+        let mut backward: Vec<_> = stream.frames().rev().collect();
+        backward.reverse();
+        assert_eq!(forward, backward, "case {case}");
+        for (i, ((time, specs), f)) in model.iter().zip(&forward).enumerate() {
+            assert_eq!(stream.frame(i), *f, "case {case}");
+            assert_eq!((f.index, f.time), (i as u64, *time), "case {case}");
+            let got: Vec<_> = f.slices.iter().map(|s| (s.size, s.weight)).collect();
+            assert_eq!(&got, specs, "case {case}");
+            assert!(f.slices.iter().all(|s| s.arrival == *time), "case {case}");
+        }
+
+        for id in 0..slices.len() as u64 + 3 {
+            let id = rts_stream::SliceId(id);
+            let linear = stream.frames().flat_map(|f| f.slices).find(|s| s.id == id);
+            assert_eq!(stream.slice(id), linear, "case {case}");
+        }
+        let count: usize = stream.frames().map(|f| f.len()).sum();
+        let bytes: u64 = stream.frames().map(|f| f.bytes()).sum();
+        let weight: u64 = stream.frames().map(|f| f.weight()).sum();
+        assert_eq!(stream.slice_count(), count, "case {case}");
+        assert_eq!(stream.total_bytes(), bytes, "case {case}");
+        assert_eq!(stream.total_weight(), weight, "case {case}");
     }
 }

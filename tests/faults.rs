@@ -295,7 +295,6 @@ fn resync_catchup_recovers_the_timer_offset() {
 
     let unit = |id: u64, arrival: u64| Slice {
         id: SliceId(id),
-        frame: id,
         arrival,
         size: 1,
         weight: 1,

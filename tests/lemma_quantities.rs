@@ -39,10 +39,10 @@ fn run_instrumented(stream: &InputStream, buffer: u64, rate: u64) -> GreedyTrace
         stored_weight: vec![0; horizon],
         arrivals_weight: vec![Vec::new(); horizon],
     };
-    let mut frames = stream.frames().iter().peekable();
+    let mut frames = stream.frames().peekable();
     for t in 0..horizon {
         let arrivals: &[_] = match frames.peek() {
-            Some(f) if f.time == t as u64 => &frames.next().unwrap().slices,
+            Some(f) if f.time == t as u64 => frames.next().unwrap().slices,
             _ => &[],
         };
         trace.arrivals_weight[t] = arrivals.iter().map(|s| s.weight).collect();
@@ -189,7 +189,7 @@ fn lemma_4_6_no_schedule_beats_the_window_bound() {
         let r = rng.range_u64(1, 3);
         let len = rng.range_u64(1, 6);
         let stream = random_stream(&mut rng, len as usize, 6);
-        let arrived: Vec<Weight> = stream.slices().map(|s| s.weight).collect();
+        let arrived: Vec<Weight> = stream.slices().iter().map(|s| s.weight).collect();
         if arrived.is_empty() {
             continue;
         }

@@ -112,7 +112,7 @@ fn feasibility_predicates_agree_on_brute_force_witnesses() {
         }
         let b = rng.range_u64(0, 6);
         let r = rng.range_u64(1, 3);
-        let ids: Vec<SliceId> = stream.slices().map(|s| s.id).collect();
+        let ids: Vec<SliceId> = stream.slices().iter().map(|s| s.id).collect();
         for mask in 0u32..(1 << n) {
             let subset: std::collections::HashSet<SliceId> = ids
                 .iter()

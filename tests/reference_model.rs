@@ -47,7 +47,7 @@ fn reference_run(
     client_capacity: Bytes,
     policy: RefPolicy,
 ) -> RefOutcome {
-    let slices: HashMap<SliceId, Slice> = stream.slices().map(|s| (s.id, *s)).collect();
+    let slices: HashMap<SliceId, Slice> = stream.slices().iter().map(|s| (s.id, *s)).collect();
     let mut server: VecDeque<ByteTok> = VecDeque::new();
     let mut sent_of: HashMap<SliceId, Bytes> = HashMap::new(); // bytes already on the link
     let mut link: VecDeque<(Time, SliceId)> = VecDeque::new();
@@ -63,13 +63,13 @@ fn reference_run(
 
     let last = stream.last_arrival().unwrap_or(0);
     let horizon = last + params.link_delay + params.delay + stream.total_bytes() + 8;
-    let mut frames = stream.frames().iter().peekable();
+    let mut frames = stream.frames().peekable();
 
     for t in 0..=horizon {
         // --- server: arrivals ---
         if let Some(f) = frames.peek() {
             if f.time == t {
-                for s in &frames.next().expect("peeked").slices {
+                for s in frames.next().expect("peeked").slices {
                     for _ in 0..s.size {
                         server.push_back(ByteTok { slice: s.id });
                     }

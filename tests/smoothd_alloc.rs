@@ -1,6 +1,7 @@
 //! Long-run memory regression tests for the steady-state slot loops:
 //! the smoothd shard loop and the simulator's `Server → Link → Client`
-//! pipeline.
+//! pipeline; and allocation budgets for the Section 5 sweep's set-up
+//! and per-run costs (`materialize` and one `simulate`).
 //!
 //! A counting global allocator wraps the system allocator; after a
 //! warmup phase lets every scratch vector, ring, and queue reach its
@@ -21,9 +22,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
+use rts_bench::workload;
 use rts_core::policy::{GreedyByteValue, TailDrop};
+use rts_core::tradeoff::SmoothingParams;
 use rts_core::{Client, ClientStep, DropPolicy, SentChunk, Server, ServerStep};
-use rts_sim::{Link, LinkModel};
+use rts_sim::{simulate, Link, LinkModel, SimConfig};
 use rts_smoothd::{AdmitRequest, Shard, WirePolicy};
 use rts_stream::rng::SplitMix64;
 use rts_stream::{FrameKind, InputStream, SliceSpec, Time};
@@ -72,6 +75,61 @@ fn snapshot() -> (u64, u64) {
         ALLOCS.load(Ordering::SeqCst),
         DEALLOCS.load(Ordering::SeqCst),
     )
+}
+
+/// Allocations and bytes requested (a `realloc` counts its new size)
+/// while `f` runs.
+fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+    let (a0, b0) = (ALLOCS.load(Ordering::SeqCst), BYTES.load(Ordering::SeqCst));
+    let out = f();
+    let (a1, b1) = (ALLOCS.load(Ordering::SeqCst), BYTES.load(Ordering::SeqCst));
+    (out, a1 - a0, b1 - b0)
+}
+
+#[test]
+fn materialize_writes_one_slice_column() {
+    let _serial = serial();
+    // The canonical 1,800-frame trace, one slice per byte: the stream
+    // is one slice column plus per-frame spans, sized up front, so a
+    // handful of allocations requesting little beyond the slices.
+    let trace = workload::section5_trace();
+    let (stream, allocs, bytes) = allocations(|| workload::byte_stream(&trace));
+    let n = stream.slice_count() as u64;
+    assert_eq!(stream.frame_count(), workload::FRAMES);
+    assert!(allocs < 64, "materialize made {allocs} allocations");
+    assert!(
+        bytes < 48 * n,
+        "materialize requested {:.1} B per slice",
+        bytes as f64 / n as f64
+    );
+}
+
+#[test]
+fn simulate_allocates_outcomes_not_slices() {
+    let _serial = serial();
+    // One run of the sweep's `simulate` at R = 1.1x the average rate:
+    // the record borrows the stream's slices, so a run allocates its
+    // 32-byte outcome column, the step series and the pipeline's
+    // queues, and copies no slice column.
+    let trace = workload::section5_trace();
+    let stream = workload::byte_stream(&trace);
+    let n = stream.slice_count() as u64;
+    let rate = workload::rate_at(&trace, 1.1);
+    for k in [1, 26] {
+        let buffer = k * trace.max_frame_bytes();
+        let params = SmoothingParams::balanced_from_rate_delay(rate, buffer.div_ceil(rate), 1);
+        let config = SimConfig::new(params);
+        let tail = allocations(|| simulate(&stream, config, TailDrop::new()).metrics);
+        let greedy = allocations(|| simulate(&stream, config, GreedyByteValue::new()).metrics);
+        for (policy, (metrics, _, bytes)) in [("Tail-Drop", tail), ("Greedy", greedy)] {
+            assert!(metrics.played_slices > 0, "{policy} k = {k}: no play");
+            assert!(
+                bytes < 56 * n,
+                "{policy} k = {k}: simulate requested {:.1} B per slice",
+                bytes as f64 / n as f64
+            );
+        }
+    }
 }
 
 #[test]
@@ -220,12 +278,12 @@ fn assert_pipeline_allocation_free<P: DropPolicy>(
     let mut delivered: Vec<SentChunk> = Vec::new();
     let (mut played, mut server_drops, mut client_drops) = (0u64, 0u64, 0u64);
     let mut window_start = snapshot();
-    for (t, frame) in stream.frames().iter().enumerate() {
+    for (t, frame) in stream.frames().enumerate() {
         let t = t as Time;
         if t == warmup {
             window_start = snapshot();
         }
-        server.step_into(t, &frame.slices, &mut sstep);
+        server.step_into(t, frame.slices, &mut sstep);
         link.submit(&sstep.sent);
         delivered.clear();
         link.deliver_into(t, &mut delivered);
